@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Union
 
 from .graphs import DisconnectedGraphError, Graph, GraphError, check_theta_triple, is_connected
 
@@ -238,18 +238,31 @@ def theta_family(l: int, p: int, q: int) -> str:
     return "zero"
 
 
-def inventory(g: Graph) -> BlockInventory:
-    """Strict census of a graph's blocks; unsupported blocks raise."""
+def census(kinds: Iterable[BlockKind]) -> BlockInventory:
+    """Census of the supported block kinds; unsupported ones are left out."""
     edge_blocks = 0
     cycles: list[int] = []
     thetas: list[tuple[int, int, int]] = []
-    for block, kind in classify_graph(g):
+    for kind in kinds:
         if isinstance(kind, Edge):
             edge_blocks += 1
         elif isinstance(kind, Cycle):
             cycles.append(kind.length)
         elif isinstance(kind, Theta):
             thetas.append((kind.l, kind.p, kind.q))
-        else:
-            raise UnsupportedBlockError(block, kind.reason)
     return BlockInventory(edge_blocks, tuple(sorted(cycles)), tuple(sorted(thetas)))
+
+
+def inventory(g: Graph) -> BlockInventory:
+    """Strict census of a graph's blocks; unsupported blocks raise."""
+    classified = classify_graph(g)
+    for block, kind in classified:
+        if isinstance(kind, Unsupported):
+            raise UnsupportedBlockError(block, kind.reason)
+    return census(kind for _, kind in classified)
+
+
+def block_subgraph(b: Block) -> Graph:
+    """A block as a standalone graph, vertices relabeled to 0..k-1 in sorted order."""
+    order = {v: i for i, v in enumerate(sorted(b.vertices))}
+    return Graph.from_edges(len(order), [(order[u], order[v]) for u, v in b.edges])

@@ -1,8 +1,12 @@
 """Command line interface.
 
-Subcommands: det (closed-form determinant of one graph, oracle fallback),
-classify (block table), verify (fuzz campaign plus proof identities),
-gen (emit a random block graph as an edge list), bench (CSV timings).
+Subcommands: det (determinant of one graph, closed forms per block and the
+block oracle for the rest), classify (block table), verify (fuzz campaign plus
+proof identities), gen (emit a random block graph as an edge list), bench (CSV
+timings).
+
+Exit codes: 0 answer, 1 verify failure, 2 bad input, 3 refusal (a block too
+large for the block oracle), 4 internal inconsistency.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ import statistics
 import sys
 import time
 
-from .blocks import Unsupported, UnsupportedBlockError, classify_graph, kind_label
-from .formulas import block_detcof, det_cof_closed
+from .blocks import Unsupported, classify_graph, kind_label
+from .formulas import BlockTooLargeError, FormulaResult, block_detcof, det_cof_closed
 from .graphs import BlockRequest, Graph, GraphError, check_theta_triple, format_edge_list, parse_edge_list, random_block_graph, triangle_chain
 from .verify import (
     congruence_check_theta,
@@ -47,39 +51,42 @@ def _block_rows(g: Graph) -> list[dict]:
     return rows
 
 
-def _print_block_rows(rows: list[dict]) -> None:
-    for row in rows:
-        if row["det"] is None:
-            print(f"  {row['kind']}: no closed form")
-        else:
-            print(f"  {row['kind']}: det={row['det']} cof={row['cof']}")
+def _block_lines(rows: list[dict]) -> list[str]:
+    return [
+        f"  {row['kind']}: no closed form" if row["det"] is None else f"  {row['kind']}: det={row['det']} cof={row['cof']}"
+        for row in rows
+    ]
+
+
+def _unlimited_int_digits(fn):
+    """fn() with the int/str digit limit lifted, so that results of any size
+    can be printed. The limit is restored at once; it stays in force while
+    input is parsed. Interpreters before 3.11 have no limit."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return fn()
+    previous = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return fn()
+    finally:
+        set_limit(previous)
+
+
+def _det_output(g: Graph, result: FormulaResult, fmt: str) -> str:
+    rows = [{"kind": kind_label(kind), "det": value.det, "cof": value.cof} for kind, value in result.blocks]
+    if fmt == "json":
+        return json.dumps({"n": g.n, "det": result.det, "cof": result.cof, "blocks": rows, "provenance": result.provenance})
+    lines = [f"det={result.det} cof={result.cof}", f"provenance: {result.provenance}"]
+    if rows:
+        lines += ["blocks:"] + _block_lines(rows)
+    return "\n".join(lines)
 
 
 def cmd_det(args) -> int:
     g = parse_edge_list(_read_text(args.input))
-    rows = _block_rows(g)
-    note = None
-    try:
-        result = det_cof_closed(g)
-        det, cof, provenance = result.det, result.cof, result.provenance
-    except UnsupportedBlockError as exc:
-        value = det_cof_oracle(g)
-        det, cof = value.det, value.cof
-        provenance = "brute-force oracle"
-        note = f"closed form unavailable: {exc}"
-    if args.format == "json":
-        payload = {"n": g.n, "det": det, "cof": cof, "blocks": rows, "provenance": provenance}
-        if note:
-            payload["note"] = note
-        print(json.dumps(payload))
-    else:
-        print(f"det={det} cof={cof}")
-        print(f"provenance: {provenance}")
-        if note:
-            print(f"note: {note}")
-        if rows:
-            print("blocks:")
-            _print_block_rows(rows)
+    result = det_cof_closed(g)
+    print(_unlimited_int_digits(lambda: _det_output(g, result, args.format)))
     return 0
 
 
@@ -89,8 +96,7 @@ def cmd_classify(args) -> int:
     if args.format == "json":
         print(json.dumps({"n": g.n, "edges": g.edge_count, "blocks": rows}))
     else:
-        print(f"n={g.n} edges={g.edge_count} blocks={len(rows)}")
-        _print_block_rows(rows)
+        print("\n".join([f"n={g.n} edges={g.edge_count} blocks={len(rows)}"] + _block_lines(rows)))
     return 0
 
 
@@ -254,6 +260,12 @@ def main(argv=None) -> int:
     except (GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BlockTooLargeError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:
+        print(f"error: internal inconsistency, please report: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

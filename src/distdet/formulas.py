@@ -8,7 +8,8 @@ tree: for blocks G_1..G_k of a connected graph G,
 
 so the whole-graph values follow from a census of the blocks. det_cof_closed
 evaluates the direct census formula and the block composition independently
-and insists they agree.
+and insists they agree. The composition holds for any block, so a block with
+no closed form is valued on its own by one exact elimination pass.
 """
 
 from __future__ import annotations
@@ -18,16 +19,49 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable
 
-from .blocks import BlockKind, Cycle, Edge, Theta, inventory, theta_family
-from .graphs import Graph, check_theta_triple
-from .linalg import DetCof
+from .blocks import (
+    Block,
+    BlockInventory,
+    BlockKind,
+    Cycle,
+    Edge,
+    Theta,
+    Unsupported,
+    block_subgraph,
+    census,
+    classify_graph,
+    theta_family,
+)
+from .graphs import Graph, check_theta_triple, distance_matrix
+from .linalg import DetCof, bareiss_detcof
+
+# Largest unsupported block the block oracle takes on, so that no accepted
+# input runs for much more than 10 s. The bordered Bareiss pass grows as about
+# b^3.3; at 430 vertices it took 9.8 s on a cycle with two chords and 10.7 s on
+# a ladder (shared 2-core x86-64 machine, Python 3.11).
+MAX_ORACLE_BLOCK = 430
+
+
+class BlockTooLargeError(Exception):
+    """An unsupported block above MAX_ORACLE_BLOCK vertices: computing it
+    would take too long, so det_cof_closed refuses the graph."""
+
+    def __init__(self, block: Block):
+        super().__init__(
+            f"unsupported block of {block.vertex_count} vertices and {block.edge_count} edges is above "
+            f"the block oracle limit of {MAX_ORACLE_BLOCK} vertices"
+        )
+        self.block = block
 
 
 @dataclass(frozen=True)
 class FormulaResult:
+    """Whole-graph (det, cof), how it was obtained, and each block's kind and value."""
+
     det: int
     cof: int
     provenance: str
+    blocks: tuple[tuple[BlockKind, DetCof], ...] = ()
 
     @property
     def detcof(self) -> DetCof:
@@ -150,22 +184,54 @@ def block_detcof(kind: BlockKind) -> DetCof:
 
 
 def det_cof_closed(g: Graph) -> FormulaResult:
-    """Closed-form (det, cof) of a connected graph whose blocks are edges,
-    cycles, and theta graphs.
+    """(det, cof) of a connected graph from one block decomposition.
 
-    Evaluates the direct census formula and, as a guard, the block
-    composition over per-block closed forms; a disagreement would mean a bug
-    and raises. Unsupported blocks raise UnsupportedBlockError.
+    Edges, cycles and theta blocks take their closed forms; any other block
+    is valued by the block oracle, one bordered Bareiss pass over that
+    block's own distance matrix. The block values compose over the block
+    tree. The direct census formula over the supported blocks is evaluated
+    independently and must agree with their composition; a disagreement
+    would mean a bug and raises ArithmeticError. An unsupported block of more
+    than MAX_ORACLE_BLOCK vertices raises BlockTooLargeError before any
+    matrix is built.
     """
-    inv = inventory(g)
-    if inv.block_count() == 0:
+    classified = classify_graph(g)
+    if not classified:
         return FormulaResult(0, 0, "single vertex")
-    if inv.has_zero_block:
-        zero = compose_ghh(_census_parts(inv))
-        if zero != (0, 0):
-            raise ArithmeticError(f"zero block present but composition gave {zero}")
-        return FormulaResult(0, 0, "zero block (even cycle or vanishing theta)")
+    for block, kind in classified:
+        if isinstance(kind, Unsupported) and block.vertex_count > MAX_ORACLE_BLOCK:
+            raise BlockTooLargeError(block)
+    blocks = tuple(
+        (kind, bareiss_detcof(distance_matrix(block_subgraph(block))) if isinstance(kind, Unsupported) else block_detcof(kind))
+        for block, kind in classified
+    )
+    closed = [value for kind, value in blocks if not isinstance(kind, Unsupported)]
+    oracle = [value for kind, value in blocks if isinstance(kind, Unsupported)]
 
+    parts = oracle
+    if closed:
+        inv = census(kind for _, kind in classified)
+        whole = _census_formula(inv)
+        cross = compose_ghh(closed)
+        if cross != whole:
+            raise ArithmeticError(f"census formula {whole} disagrees with block composition {cross}")
+        if not oracle:
+            if inv.has_zero_block:
+                provenance = "zero block (even cycle or vanishing theta)"
+            else:
+                provenance = "block census formula, cross-checked by block composition"
+            return FormulaResult(whole.det, whole.cof, provenance, blocks)
+        parts = [whole] + oracle
+    det, cof = compose_ghh(parts)
+    provenance = f"block oracle on {len(oracle)} unsupported block(s)"
+    if closed:
+        provenance = f"block census formula on {len(closed)} supported block(s), " + provenance
+    return FormulaResult(det, cof, provenance + ", composed over the block tree", blocks)
+
+
+def _census_formula(inv: BlockInventory) -> DetCof:
+    if inv.has_zero_block:
+        return DetCof(0, 0)
     m = inv.edge_blocks
     pairs = inv.theta_one_even_pairs
     s = inv.theta_222_count
@@ -185,16 +251,4 @@ def det_cof_closed(g: Graph) -> FormulaResult:
         + s
         + sum(Fraction(q * q - 5, 4 * q - 8) for q in odd_qs)
     )
-    det = _exact_int(ratio * cof)
-
-    cross = compose_ghh(_census_parts(inv))
-    if cross != (det, cof):
-        raise ArithmeticError(f"census formula {DetCof(det, cof)} disagrees with block composition {cross}")
-    return FormulaResult(det, cof, "block census formula, cross-checked by block composition")
-
-
-def _census_parts(inv) -> list[DetCof]:
-    parts = [edge_detcof()] * inv.edge_blocks
-    parts += [cycle_detcof(l) for l in inv.cycle_lengths]
-    parts += [theta_detcof(*t) for t in inv.theta_triples]
-    return parts
+    return DetCof(_exact_int(ratio * cof), cof)

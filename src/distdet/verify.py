@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .blocks import Block, UnsupportedBlockError, biconnected_components, classify_block, kind_label
+from .blocks import biconnected_components, block_subgraph, classify_block, kind_label
 from .formulas import compose_ghh, det_cof_closed
 from .graphs import (
     BlockRequest,
@@ -26,19 +26,13 @@ from .graphs import (
     labeled_theta_shifted,
     random_block_graph,
 )
-from .linalg import DetCof, bareiss_det, cof_sum, identity, mat_mul, mat_sub, rat_inverse, transpose
+from .linalg import DetCof, bareiss_det, bareiss_detcof, identity, mat_mul, mat_sub, rat_inverse, transpose
 
 
 def det_cof_oracle(g: Graph) -> DetCof:
-    """(det, cof) straight from the distance matrix, no closed forms."""
-    d = distance_matrix(g)
-    return DetCof(bareiss_det(d), cof_sum(d))
-
-
-def block_subgraph(b: Block) -> Graph:
-    """A block as a standalone graph, vertices relabeled to 0..k-1 in sorted order."""
-    order = {v: i for i, v in enumerate(sorted(b.vertices))}
-    return Graph.from_edges(len(order), [(order[u], order[v]) for u, v in b.edges])
+    """(det, cof) straight from the whole graph's distance matrix, no closed
+    forms and no block decomposition."""
+    return bareiss_detcof(distance_matrix(g))
 
 
 def cycle_inverse_identity(k: int) -> bool:
@@ -164,7 +158,7 @@ class VerifyReport:
     blocks: list[dict]
     oracle: DetCof
     ghh: Optional[DetCof]
-    closed: Optional[DetCof]
+    closed: DetCof
     passed: bool
     note: str
     micros: int
@@ -189,10 +183,10 @@ class VerifyReport:
 def verify_graph(g: Graph, fault: bool = False) -> VerifyReport:
     """Compare oracle, block composition over per-block oracles, and closed form.
 
-    The closed form is skipped (with a note) when some block has no closed
-    form; the composition check still runs, since it holds for arbitrary
-    blocks. For K1 only the determinant is compared: the literal cofactor sum
-    of the 1x1 zero matrix is 1 while the block convention assigns 0.
+    Blocks with no closed form are valued inside det_cof_closed by its own
+    block oracle; the composition holds for arbitrary blocks. For K1 only the
+    determinant is compared: the literal cofactor sum of the 1x1 zero matrix
+    is 1 while the block convention assigns 0.
 
     fault=True flips the sign of the closed-form determinant before comparing;
     it exists so the test harness can prove this function actually fails.
@@ -207,22 +201,16 @@ def verify_graph(g: Graph, fault: bool = False) -> VerifyReport:
         block_values.append(value)
     ghh = compose_ghh(block_values) if block_values else None
 
-    note = ""
-    try:
-        closed = det_cof_closed(g).detcof
-    except UnsupportedBlockError as exc:
-        closed = None
-        note = f"closed form unavailable: {exc}"
-    if fault and closed is not None:
+    closed = det_cof_closed(g).detcof
+    if fault:
         closed = DetCof(-closed.det, closed.cof)
 
     if g.n == 1:
-        passed = oracle.det == 0 and (closed is None or closed.det == 0)
+        passed = oracle.det == 0 and closed.det == 0
         note = "single vertex: determinant compared, cofactor convention differs"
     else:
-        passed = ghh is not None and ghh == oracle
-        if closed is not None:
-            passed = passed and closed == oracle
+        passed = ghh == oracle == closed
+        note = ""
     micros = (time.perf_counter_ns() - start) // 1000
     return VerifyReport(
         n=g.n,

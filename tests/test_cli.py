@@ -1,10 +1,14 @@
 import io
 import json
+import sys
+import time
 
 import pytest
 
 from distdet.cli import main
-from distdet.graphs import cycle_graph, format_edge_list, parse_edge_list
+from distdet.formulas import MAX_ORACLE_BLOCK
+from distdet.graphs import BlockRequest, Graph, cycle_graph, format_edge_list, parse_edge_list, random_block_graph
+from distdet.linalg import DetCof
 
 
 @pytest.fixture
@@ -42,11 +46,18 @@ class TestDet:
         assert main(["det", "-"]) == 0
         assert "det=2 cof=3" in capsys.readouterr().out
 
-    def test_unsupported_falls_back_to_oracle(self, k4_file, capsys):
+    def test_unsupported_block_uses_block_oracle(self, k4_file, capsys):
         assert main(["det", k4_file]) == 0
         out = capsys.readouterr().out
         assert "det=10 cof=8" in out
-        assert "closed form unavailable" in out
+        assert "block oracle on 1 unsupported block(s)" in out
+        assert "unsupported[4 vertices, 6 edges, degrees [3, 3, 3, 3]]: det=-3 cof=-4" in out
+        assert main(["det", k4_file, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["det"], payload["cof"]) == (10, 8)
+        assert "block oracle" in payload["provenance"]
+        assert {"kind": "edge", "det": -1, "cof": -2} in payload["blocks"]
+        assert [(row["det"], row["cof"]) for row in payload["blocks"] if row["kind"].startswith("unsupported")] == [(-3, -4)]
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -63,6 +74,58 @@ class TestDet:
     def test_missing_file_exit_code(self, capsys):
         assert main(["det", "/nonexistent/graph.txt"]) == 2
         assert "error" in capsys.readouterr().err
+
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit before Python 3.11")
+    def test_results_beyond_the_digit_limit(self, tmp_path, capsys):
+        # theta(2,2,41) has (det, cof) = (1676, 156), so 300 of them give a 658-digit cof
+        path = tmp_path / "thetas.txt"
+        path.write_text(format_edge_list(random_block_graph(BlockRequest(thetas=((2, 2, 41),) * 300), seed=3)))
+        det, cof = str(300 * 1676 * 156**299), str(156**300)
+        huge_count = tmp_path / "huge_count.txt"
+        huge_count.write_text("9" * 700 + "\n0 1\n")
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert main(["det", str(path)]) == 0
+            text = capsys.readouterr().out
+            assert main(["det", str(path), "--format", "json"]) == 0
+            payload = capsys.readouterr().out
+            assert sys.get_int_max_str_digits() == 640
+            # the limit stays in force while input is parsed
+            assert main(["det", str(huge_count)]) == 2
+            assert "line 1" in capsys.readouterr().err
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert len(cof) > 640
+        assert text.startswith(f"det={det} cof={cof}\n")
+        assert payload.startswith(f'{{"n": 12901, "det": {det}, "cof": {cof}, ')
+
+    def test_huge_vertex_count_rejected_before_allocation(self, tmp_path, capsys, monkeypatch):
+        def no_adjacency(self):
+            raise AssertionError("adjacency lists built")
+
+        monkeypatch.setattr(Graph, "adjacency", no_adjacency)
+        path = tmp_path / "sparse.txt"
+        path.write_text("1000000\n0 1\n")
+        assert main(["det", str(path)]) == 2
+        assert "connected" in capsys.readouterr().err
+
+    def test_block_too_large_refused(self, tmp_path, capsys):
+        n = MAX_ORACLE_BLOCK + 1
+        edges = [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2), (1, n // 2 + 1)]
+        path = tmp_path / "big_block.txt"
+        path.write_text(format_edge_list(Graph.from_edges(n, edges)))
+        start = time.perf_counter()
+        assert main(["det", str(path)]) == 3
+        assert time.perf_counter() - start < 10
+        err = capsys.readouterr().err
+        assert err.startswith("refused: ") and f"limit of {MAX_ORACLE_BLOCK} vertices" in err
+
+    def test_internal_inconsistency_exit_code(self, c5_file, capsys, monkeypatch):
+        monkeypatch.setattr("distdet.formulas.compose_ghh", lambda blocks: DetCof(1, 1))
+        assert main(["det", c5_file]) == 4
+        assert "internal inconsistency, please report" in capsys.readouterr().err
 
 
 class TestClassify:

@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 
-from distdet.blocks import UnsupportedBlockError
+import distdet.formulas
 from distdet.formulas import (
+    BlockTooLargeError,
     cactus_det,
     compose_ghh,
     cycle_detcof,
@@ -22,6 +24,7 @@ from distdet.graphs import (
     cycle_graph,
     path_graph,
     random_block_graph,
+    triangle_chain,
 )
 from distdet.linalg import DetCof
 from distdet.verify import det_cof_oracle
@@ -205,10 +208,83 @@ class TestClosedForm:
             g = random_block_graph(req, seed)
             assert det_cof_closed(g).detcof == det_cof_oracle(g)
 
-    def test_unsupported_block_raises(self):
+    def test_unsupported_block_uses_block_oracle(self):
         k4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-        with pytest.raises(UnsupportedBlockError):
-            det_cof_closed(k4)
+        result = det_cof_closed(k4)
+        assert result.detcof == DetCof(-3, -4) == det_cof_oracle(k4)
+        assert result.provenance == "block oracle on 1 unsupported block(s), composed over the block tree"
+        assert [value for _, value in result.blocks] == [DetCof(-3, -4)]
 
     def test_path_golden_values(self):
         assert det_cof_closed(path_graph(4)).detcof == DetCof(-12, -8)
+
+
+def complete_block(n: int) -> tuple[int, list[tuple[int, int]]]:
+    return n, [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def chorded_cycle_block(n: int) -> tuple[int, list[tuple[int, int]]]:
+    """A cycle with two crossing chords: one block, neither cycle nor theta."""
+    return n, [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2), (1, n // 2 + 1)]
+
+
+def glue_blocks(g: Graph, pieces, rng: random.Random) -> Graph:
+    """g with each (n, edges) piece glued on at a uniformly chosen existing vertex."""
+    n = g.n
+    edges = list(g.edges)
+    for size, local in pieces:
+        glue_at = rng.randrange(n)
+        mapping = [glue_at] + list(range(n, n + size - 1))
+        edges += [(mapping[u], mapping[v]) for u, v in local]
+        n += size - 1
+    return Graph.from_edges(n, edges)
+
+
+def fold(values: list[DetCof]) -> DetCof:
+    """Block composition as a left fold, independent of compose_ghh."""
+    det, cof = 0, 1
+    for d, c in values:
+        det, cof = det * c + d * cof, cof * c
+    return DetCof(det, cof)
+
+
+class TestBlockOracle:
+    def test_unsupported_blocks_glued_to_supported_ones(self):
+        rng = random.Random(41)
+        for _ in range(30):
+            request = BlockRequest(
+                edges=rng.randint(0, 3),
+                cycles=tuple(rng.choice([3, 4, 5, 7]) for _ in range(rng.randint(0, 2))),
+                thetas=tuple(rng.choice([(1, 2, 2), (2, 2, 2), (2, 2, 3), (1, 2, 3)]) for _ in range(rng.randint(0, 2))),
+            )
+            base = random_block_graph(request, rng.randrange(2**30)) if request.block_count() else Graph(1, frozenset())
+            pieces = [
+                complete_block(rng.choice([4, 5])) if rng.random() < 0.5 else chorded_cycle_block(rng.randint(5, 9))
+                for _ in range(rng.randint(1, 3))
+            ]
+            g = glue_blocks(base, pieces, rng)
+            result = det_cof_closed(g)
+            assert result.detcof == det_cof_oracle(g)
+            assert "block oracle" in result.provenance
+            assert len(result.blocks) == request.block_count() + len(pieces)
+
+    def test_few_unsupported_blocks_among_thousands_of_vertices(self):
+        # the whole-graph oracle would eliminate a 2005 x 2005 matrix here
+        g = glue_blocks(triangle_chain(1999), [complete_block(4), complete_block(4)], random.Random(3))
+        start = time.perf_counter()
+        result = det_cof_closed(g)
+        elapsed = time.perf_counter() - start
+        assert result.detcof == fold([DetCof(2, 3)] * 999 + [DetCof(-3, -4)] * 2)
+        assert elapsed < 20, f"{elapsed:.1f}s"
+
+    def test_size_limit_refuses_before_building_a_matrix(self, monkeypatch):
+        def no_matrix(g):
+            raise AssertionError("distance matrix built")
+
+        monkeypatch.setattr(distdet.formulas, "MAX_ORACLE_BLOCK", 4)
+        k4 = glue_blocks(path_graph(2), [complete_block(4)], random.Random(0))
+        assert det_cof_closed(k4).detcof == fold([DetCof(-1, -2), DetCof(-3, -4)])
+        monkeypatch.setattr(distdet.formulas, "distance_matrix", no_matrix)
+        with pytest.raises(BlockTooLargeError) as info:
+            det_cof_closed(glue_blocks(k4, [chorded_cycle_block(5)], random.Random(0)))
+        assert info.value.block.vertex_count == 5

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distdet.linalg import (
+    DetCof,
     SingularMatrixError,
     bareiss_det,
+    bareiss_detcof,
     cof_sum,
     cof_sum_minors,
     det_cofactor_expansion,
@@ -88,6 +90,39 @@ def test_rank_one_shift_identity(m, x):
     n = len(m)
     shifted = [[m[i][j] + x for j in range(n)] for i in range(n)]
     assert bareiss_det(shifted) == bareiss_det(m) + x * cof_sum(m)
+
+
+@st.composite
+def detcof_matrix(draw):
+    """Integer matrices up to 8 x 8 with small entries, so many are singular;
+    a zeroed column leaves the border row as that column's only usable pivot."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    m = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["any", "zero column", "repeated row"]))
+    if shape == "zero column":
+        column = draw(st.integers(0, n - 1))
+        for row in m:
+            row[column] = 0
+    elif shape == "repeated row" and n > 1:
+        m[-1] = list(m[0])
+    return m
+
+
+@settings(deadline=None, max_examples=300)
+@given(detcof_matrix())
+def test_bordered_pass_matches_references(m):
+    assert bareiss_detcof(m) == (bareiss_det(m), cof_sum(m))
+
+
+def test_bordered_pass_known_values():
+    assert bareiss_detcof([[0]]) == DetCof(0, 1)  # the only pivot is in the border row
+    assert bareiss_detcof([[0, 0], [0, 0]]) == DetCof(0, 0)
+    assert bareiss_detcof([[0, 1], [1, 0]]) == DetCof(-1, -2)
+    assert bareiss_detcof([[0, 0], [0, 5]]) == DetCof(0, 5)
+    with pytest.raises(ValueError):
+        bareiss_detcof([])
+    with pytest.raises(ValueError):
+        bareiss_detcof([[1, 2]])
 
 
 def test_expansion_guards_large_input():

@@ -15,6 +15,7 @@ from distdet.graphs import (
     path_graph,
     random_block_graph,
 )
+from distdet.formulas import det_cof_closed
 from distdet.linalg import DetCof, bareiss_det
 from distdet.verify import (
     block_subgraph,
@@ -106,9 +107,9 @@ class TestVerifyGraph:
         g = Graph.from_edges(5, [(0, 1)] + [(u + 1, v + 1) for u, v in complete_graph(4).edges])
         report = verify_graph(g)
         assert report.passed
-        assert report.closed is None
-        assert "closed form unavailable" in report.note
-        assert report.ghh == report.oracle
+        assert report.closed == report.ghh == report.oracle == DetCof(10, 8)
+        assert [(row["det"], row["cof"]) for row in report.blocks if row["kind"].startswith("unsupported")] == [(-3, -4)]
+        assert "block oracle on 1 unsupported block(s)" in det_cof_closed(g).provenance
 
     def test_single_vertex_convention(self):
         report = verify_graph(Graph(1, frozenset()))
