@@ -101,7 +101,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    summary = fuzz_campaign(args.count, args.max_n, args.seed, fault=args.inject_fault)
+    summary = fuzz_campaign(args.count, args.max_n, args.seed)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
             for report in summary.reports:
@@ -235,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-n", type=int, default=40)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--report", help="write one JSON object per graph to this file")
-    verify.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     verify.set_defaults(func=cmd_verify)
 
     gen = sub.add_parser("gen", help="generate a random block graph as an edge list")

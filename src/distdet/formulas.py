@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .blocks import (
     Block,
@@ -183,8 +183,11 @@ def block_detcof(kind: BlockKind) -> DetCof:
     raise ValueError(f"no closed form for {kind!r}")
 
 
-def det_cof_closed(g: Graph) -> FormulaResult:
+def det_cof_closed(g: Graph, classified: Optional[list[tuple[Block, BlockKind]]] = None) -> FormulaResult:
     """(det, cof) of a connected graph from one block decomposition.
+
+    `classified` is classify_graph(g), for a caller that holds it already;
+    without it the graph is decomposed here.
 
     Edges, cycles and theta blocks take their closed forms; any other block
     is valued by the block oracle, one bordered Bareiss pass over that
@@ -195,7 +198,8 @@ def det_cof_closed(g: Graph) -> FormulaResult:
     than MAX_ORACLE_BLOCK vertices raises BlockTooLargeError before any
     matrix is built.
     """
-    classified = classify_graph(g)
+    if classified is None:
+        classified = classify_graph(g)
     if not classified:
         return FormulaResult(0, 0, "single vertex")
     for block, kind in classified:

@@ -1,25 +1,18 @@
-"""Exact integer and rational matrix arithmetic.
+"""Exact integer matrix arithmetic.
 
-Matrices are plain lists of row lists. Integer matrices hold Python ints
-(arbitrary precision), rational ones hold fractions.Fraction. There is
-deliberately no floating point anywhere: determinants and inverses of
-distance matrices must come out bit-exact.
+Matrices are plain lists of row lists of Python ints (arbitrary precision).
+There is deliberately no floating point anywhere: determinants of distance
+matrices must come out bit-exact.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 IntMatrix = list[list[int]]
-RatMatrix = list[list[Fraction]]
 
 # cost guard for the factorial-time cross-check routines
 _MINOR_LIMIT = 8
-
-
-class SingularMatrixError(ValueError):
-    """Raised when an exact inverse of a singular matrix is requested."""
 
 
 class DetCof(NamedTuple):
@@ -206,42 +199,3 @@ def cof_sum_minors(a: Sequence[Sequence[int]]) -> int:
             minor = [[row[c] for c in range(n) if c != j] for row in rows]
             total += (-1) ** (i + j) * _det_expand(minor)
     return total
-
-
-def rat_det(a) -> Fraction:
-    """Determinant by rational Gaussian elimination; accepts int or Fraction entries."""
-    n = _square_size(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det
-        pivot = m[k][k]
-        det *= pivot
-        for i in range(k + 1, n):
-            f = m[i][k] / pivot
-            if f:
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    return det
-
-
-def rat_inverse(a) -> RatMatrix:
-    """Exact inverse by Gauss-Jordan elimination over Fraction."""
-    n = _square_size(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        m[k], m[pivot_row] = m[pivot_row], m[k]
-        pivot = m[k][k]
-        m[k] = [x / pivot for x in m[k]]
-        for i in range(n):
-            if i != k and m[i][k]:
-                f = m[i][k]
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    return [row[n:] for row in m]

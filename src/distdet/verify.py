@@ -1,10 +1,11 @@
 """Brute-force oracle and identity checkers backing the closed forms.
 
 Everything here is exact: the oracle runs fraction-free elimination on the
-actual distance matrix, the identity checkers compare rational matrices entry
-by entry. verify_graph ties the three computations together (oracle, block
-composition over per-block oracles, closed form) for one graph, and
-fuzz_campaign runs that over a deterministic stream of random block graphs.
+actual distance matrix, the identity checkers compare integer matrices entry
+by entry, with closed-form inverses scaled to integers. verify_graph ties the
+three computations together (oracle, block composition over per-block
+oracles, closed form) for one graph, and fuzz_campaign runs that over a
+deterministic stream of random block graphs.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
-from .blocks import biconnected_components, block_subgraph, classify_block, kind_label
+from .blocks import block_subgraph, classify_graph, kind_label
 from .formulas import compose_ghh, det_cof_closed
 from .graphs import (
     BlockRequest,
@@ -26,7 +26,18 @@ from .graphs import (
     labeled_theta_shifted,
     random_block_graph,
 )
-from .linalg import DetCof, bareiss_det, bareiss_detcof, identity, mat_mul, mat_sub, rat_inverse, transpose
+from .linalg import (
+    DetCof,
+    IntMatrix,
+    bareiss_det,
+    bareiss_detcof,
+    identity,
+    mat_mul,
+    mat_scale,
+    mat_sub,
+    mat_vec,
+    transpose,
+)
 
 
 def det_cof_oracle(g: Graph) -> DetCof:
@@ -35,25 +46,39 @@ def det_cof_oracle(g: Graph) -> DetCof:
     return bareiss_detcof(distance_matrix(g))
 
 
+def _cycle_inverse_scaled(k: int) -> Optional[IntMatrix]:
+    """S = k(k+1) D^{-1} for D = D(C_{2k+1}), proved, or None if a check fails.
+
+    The paper's inverse is D^{-1} = -2I - C^k - C^{k+1} + (2k+1)/(k(k+1)) J,
+    where C is the cyclic shift, so S = k(k+1)(-2I - C^k - C^{k+1}) + (2k+1)J
+    is an integer matrix. It is proved by det D = k(k+1) and D S = k(k+1) I,
+    multiplied out and compared entry by entry.
+    """
+    if k < 1:
+        raise ValueError("need k >= 1")
+    n = 2 * k + 1
+    scale = k * (k + 1)
+    d = distance_matrix(cycle_graph(n))
+    if bareiss_det(d) != scale:
+        return None
+    s = [
+        [2 * k + 1 - scale * (2 * int(i == j) + int(j == (i + k) % n) + int(j == (i + k + 1) % n)) for j in range(n)]
+        for i in range(n)
+    ]
+    if mat_mul(d, s) != mat_scale(scale, identity(n)):
+        return None
+    return s
+
+
 def cycle_inverse_identity(k: int) -> bool:
     """Check the explicit inverse of the odd cycle distance matrix.
 
     For C_{2k+1}: det D = k(k+1) and
     D^{-1} = -2I - C^k - C^{k+1} + (2k+1)/(k(k+1)) J
-    where C is the cyclic shift. Verified by multiplying out exactly.
+    where C is the cyclic shift. Verified by multiplying out k(k+1) D^{-1}
+    exactly in integers.
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    n = 2 * k + 1
-    d = distance_matrix(cycle_graph(n))
-    if bareiss_det(d) != k * (k + 1):
-        return False
-    coef = Fraction(2 * k + 1, k * (k + 1))
-    inv = [
-        [-2 * int(i == j) - int(j == (i + k) % n) - int(j == (i + k + 1) % n) + coef for j in range(n)]
-        for i in range(n)
-    ]
-    return mat_mul(d, inv) == identity(n)
+    return _cycle_inverse_scaled(k) is not None
 
 
 def scalar_identity_checks(k: int) -> bool:
@@ -61,22 +86,20 @@ def scalar_identity_checks(k: int) -> bool:
 
     With v = (1, 2, ..., k, k+1, k, ..., 2, 1) and D = D(C_{2k+1}):
     v D^{-1} v = (k+1)/k, v D^{-1} 1 = (k+1)/k, 1 D^{-1} 1 = (2k+1)/(k(k+1)).
+    The forms are evaluated on the proved integer matrix k(k+1) D^{-1}, so
+    they must come to (k+1)^2, (k+1)^2 and 2k+1.
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    n = 2 * k + 1
-    dinv = rat_inverse(distance_matrix(cycle_graph(n)))
+    s = _cycle_inverse_scaled(k)
+    if s is None:
+        return False
     v = list(range(1, k + 2)) + list(range(k, 0, -1))
-    one = [1] * n
+    one = [1] * (2 * k + 1)
+    s_v, s_one = mat_vec(s, v), mat_vec(s, one)
 
-    def form(x, y):
-        return sum(x[i] * dinv[i][j] * y[j] for i in range(n) for j in range(n))
+    def dot(x, y):
+        return sum(a * b for a, b in zip(x, y))
 
-    return (
-        form(v, v) == Fraction(k + 1, k)
-        and form(v, one) == Fraction(k + 1, k)
-        and form(one, one) == Fraction(2 * k + 1, k * (k + 1))
-    )
+    return dot(v, s_v) == (k + 1) ** 2 and dot(v, s_one) == (k + 1) ** 2 and dot(one, s_one) == 2 * k + 1
 
 
 def _transfer_matrix(k: int, s: int) -> list[list[int]]:
@@ -92,10 +115,28 @@ def _transfer_matrix(k: int, s: int) -> list[list[int]]:
     return t
 
 
-def _build_transport(dg, dh, k: int, s: int):
+def _path_inverse_scaled(m: int) -> IntMatrix:
+    """Q = 2(m-1) P^{-1} for the path distance matrix P = (|i-j|), m >= 2.
+
+    Graham and Lovasz: D(T)^{-1} = -L/2 + tau tau^T / (2(m-1)) for a tree T
+    on m vertices, L its Laplacian and tau = 2 - deg, so
+    Q = -(m-1) L + tau tau^T; for the path tau = (1, 0, ..., 0, 1).
+    """
+    tau = [int(i in (0, m - 1)) for i in range(m)]
+    q = [[tau[i] * tau[j] for j in range(m)] for i in range(m)]
+    for i in range(m):
+        q[i][i] -= (m - 1) * (2 - tau[i])  # the degree is 2 - tau
+        if i + 1 < m:
+            q[i][i + 1] += m - 1
+            q[i + 1][i] += m - 1
+    return q
+
+
+def _build_transport(dg, dh, k: int, s: int) -> Optional[IntMatrix]:
     # Both matrices split into quadrants [[P, X^T], [X, P]] over the same
-    # path matrix P[i][j] = |i-j|; N = [[I, 0], [(A - M B) P^{-1}, M]] then
-    # transports D(H) to D(G). Returns the integer N once verified, else None.
+    # path matrix P[i][j] = |i-j|; N = [[I, 0], [(A - T B) P^{-1}, T]] is the
+    # candidate transport of D(H) to D(G). Returns N if that lower-left block
+    # is integral, else None; _is_congruence is the check that N transports.
     m = k + s
     p = [[abs(i - j) for j in range(m)] for i in range(m)]
     for mat in (dg, dh):
@@ -104,37 +145,46 @@ def _build_transport(dg, dh, k: int, s: int):
     a = [row[:m] for row in dg[m:]]
     b = [row[:m] for row in dh[m:]]
     t = _transfer_matrix(k, s)
-    x_rat = mat_mul(mat_sub(a, mat_mul(t, b)), rat_inverse(p))
-    if any(entry.denominator != 1 for row in x_rat for entry in row):
+    scale = 2 * (m - 1)
+    x_scaled = mat_mul(mat_sub(a, mat_mul(t, b)), _path_inverse_scaled(m))
+    if any(entry % scale for row in x_scaled for entry in row):
         return None
-    x = [[entry.numerator for entry in row] for row in x_rat]
     n_mat = [[int(i == j) for j in range(m)] + [0] * m for i in range(m)]
-    n_mat += [x[i] + t[i] for i in range(m)]
-    if mat_mul(mat_mul(n_mat, dh), transpose(n_mat)) != dg:
-        return None
-    det_n = bareiss_det(n_mat)
-    if det_n * det_n != 1:
-        return None
+    n_mat += [[entry // scale for entry in x_scaled[i]] + t[i] for i in range(m)]
     return n_mat
+
+
+def _is_congruence(n_mat, dh, dg) -> bool:
+    """N D(H) N^T = D(G) entry by entry, and det N = +-1 so that the
+    congruence preserves the determinant."""
+    if mat_mul(mat_mul(n_mat, dh), transpose(n_mat)) != dg:
+        return False
+    det_n = bareiss_det(n_mat)
+    return det_n * det_n == 1
 
 
 def congruence_check_theta(k: int, s: int) -> bool:
     """Exact congruence between D(theta(1,2s,2k)) and D(theta(1,2s-2,2k+2)).
 
     Both graphs use the labeled vertex order on 2(k+s) vertices. The check
-    reconstructs the transformation N, verifies N D(H) N^T = D(G) entry by
-    entry, and that det N * det N^T = 1 (so the congruence preserves the
-    determinant).
+    reconstructs the transformation N in integers, verifies N D(H) N^T = D(G)
+    entry by entry, and that det N * det N^T = 1 (so the congruence preserves
+    the determinant).
     """
     if k < 2 or s < 2:
         raise ValueError("need k >= 2 and s >= 2")
     dh = distance_matrix(labeled_theta(k, s))
     dg = distance_matrix(labeled_theta_shifted(k, s))
-    return _build_transport(dg, dh, k, s) is not None
+    n_mat = _build_transport(dg, dh, k, s)
+    return n_mat is not None and _is_congruence(n_mat, dh, dg)
 
 
 def congruence_check_theta_prime(k: int, s: int) -> bool:
-    """Same congruence for the pendant-vertex variants, N extended by a 1 block."""
+    """Same congruence for the pendant-vertex variants, N extended by a 1 block.
+
+    N is built from the 2(k+s)-vertex cores; the bordered product contains
+    the core product, so only the bordered one is formed and checked.
+    """
     if k < 2 or s < 2:
         raise ValueError("need k >= 2 and s >= 2")
     m = k + s
@@ -146,7 +196,7 @@ def congruence_check_theta_prime(k: int, s: int) -> bool:
     if n_core is None:
         return False
     bordered = [row + [0] for row in n_core] + [[0] * (2 * m) + [1]]
-    return mat_mul(mat_mul(bordered, dh), transpose(bordered)) == dg
+    return _is_congruence(bordered, dh, dg)
 
 
 @dataclass
@@ -180,30 +230,28 @@ class VerifyReport:
         }
 
 
-def verify_graph(g: Graph, fault: bool = False) -> VerifyReport:
+def verify_graph(g: Graph) -> VerifyReport:
     """Compare oracle, block composition over per-block oracles, and closed form.
 
-    Blocks with no closed form are valued inside det_cof_closed by its own
-    block oracle; the composition holds for arbitrary blocks. For K1 only the
-    determinant is compared: the literal cofactor sum of the 1x1 zero matrix
-    is 1 while the block convention assigns 0.
-
-    fault=True flips the sign of the closed-form determinant before comparing;
-    it exists so the test harness can prove this function actually fails.
+    The graph is decomposed once; its blocks feed both the per-block oracles
+    and the closed form, and the whole-graph oracle, which never decomposes,
+    guards that decomposition. Blocks with no closed form are valued inside
+    det_cof_closed by its own block oracle; the composition holds for
+    arbitrary blocks. For K1 only the determinant is compared: the literal
+    cofactor sum of the 1x1 zero matrix is 1 while the block convention
+    assigns 0.
     """
     start = time.perf_counter_ns()
     oracle = det_cof_oracle(g)
+    classified = classify_graph(g)
     rows = []
     block_values = []
-    for block in biconnected_components(g):
+    for block, kind in classified:
         value = det_cof_oracle(block_subgraph(block))
-        rows.append({"kind": kind_label(classify_block(block)), "det": value.det, "cof": value.cof})
+        rows.append({"kind": kind_label(kind), "det": value.det, "cof": value.cof})
         block_values.append(value)
     ghh = compose_ghh(block_values) if block_values else None
-
-    closed = det_cof_closed(g).detcof
-    if fault:
-        closed = DetCof(-closed.det, closed.cof)
+    closed = det_cof_closed(g, classified).detcof
 
     if g.n == 1:
         passed = oracle.det == 0 and closed.det == 0
@@ -277,7 +325,7 @@ class CampaignSummary:
         return self.passed == self.count
 
 
-def fuzz_campaign(count: int, max_n: int, seed: int, fault: bool = False) -> CampaignSummary:
+def fuzz_campaign(count: int, max_n: int, seed: int) -> CampaignSummary:
     """Run verify_graph over a deterministic stream of random block graphs."""
     if count < 1:
         raise ValueError("need count >= 1")
@@ -286,7 +334,7 @@ def fuzz_campaign(count: int, max_n: int, seed: int, fault: bool = False) -> Cam
         rng = random.Random(seed * 1_000_000_007 + index)
         request = random_block_request(max_n, rng)
         g = random_block_graph(request, rng.randrange(2**32))
-        report = verify_graph(g, fault=fault)
+        report = verify_graph(g)
         summary.reports.append(report)
         if report.passed:
             summary.passed += 1

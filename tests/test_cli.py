@@ -173,8 +173,8 @@ class TestVerify:
         assert "graphs: 5/5 passed" in out
         assert out.strip().endswith("PASS")
 
-    def test_fault_injection_fails(self, capsys):
-        assert main(["verify", "--count", "8", "--max-n", "15", "--seed", "1", "--inject-fault"]) == 1
+    def test_fault_injection_fails(self, flipped_closed_form, capsys):
+        assert main(["verify", "--count", "8", "--max-n", "15", "--seed", "1"]) == 1
         assert capsys.readouterr().out.strip().endswith("FAIL")
 
     def test_report_file(self, tmp_path, capsys):

@@ -1,8 +1,10 @@
 import json
 import random
+import time
 
 import pytest
 
+import distdet.verify
 from distdet.graphs import (
     DisconnectedGraphError,
     Graph,
@@ -17,7 +19,13 @@ from distdet.graphs import (
 )
 from distdet.formulas import det_cof_closed
 from distdet.linalg import DetCof, bareiss_det
+from distdet.cli import CONGRUENCE_RANGE, INVERSE_K_MAX
 from distdet.verify import (
+    _build_transport,
+    _cycle_inverse_scaled,
+    _is_congruence,
+    _path_inverse_scaled,
+    _transfer_matrix,
     block_subgraph,
     congruence_check_theta,
     congruence_check_theta_prime,
@@ -29,6 +37,7 @@ from distdet.verify import (
     verify_graph,
 )
 from distdet.blocks import biconnected_components
+from rational_reference import rat_inverse
 
 
 def complete_graph(n):
@@ -96,6 +105,91 @@ class TestProofIdentities:
             congruence_check_theta_prime(2, 1)
 
 
+@pytest.mark.parametrize(
+    "family, size",
+    [("path", m) for m in range(2, 31)] + [("cycle", k) for k in range(1, INVERSE_K_MAX + 1)],
+)
+def test_scaled_inverses_match_rational_reference(family, size):
+    # the integer closed forms against Fraction Gauss-Jordan on the matrix itself
+    if family == "path":
+        scale, scaled = 2 * (size - 1), _path_inverse_scaled(size)
+        matrix = [[abs(i - j) for j in range(size)] for i in range(size)]
+    else:
+        scale, scaled = size * (size + 1), _cycle_inverse_scaled(size)
+        matrix = distance_matrix(cycle_graph(2 * size + 1))
+    assert scaled == [[scale * x for x in row] for row in rat_inverse(matrix)]
+    assert all(type(x) is int for row in scaled for x in row)
+
+
+def _perturb(matrix, i, j):
+    out = [list(row) for row in matrix]
+    out[i][j] += 1
+    return out
+
+
+class TestProofChecksRejectBadInput:
+    """Each check is fed a corrupted input from outside and must say False."""
+
+    @pytest.mark.parametrize("k, entry", [(1, (0, 1)), (3, (2, 2)), (5, (0, 7)), (6, (12, 3))])
+    def test_perturbed_cycle_matrix(self, monkeypatch, k, entry):
+        monkeypatch.setattr(distdet.verify, "distance_matrix", lambda g: _perturb(distance_matrix(g), *entry))
+        assert not cycle_inverse_identity(k)
+        assert not scalar_identity_checks(k)
+
+    @pytest.mark.parametrize("k, entry", [(2, (0, 1)), (4, (3, 8))])
+    def test_perturbed_cycle_matrix_caught_by_the_product(self, monkeypatch, k, entry):
+        # with the determinant check blinded, D S = k(k+1) I alone must reject
+        monkeypatch.setattr(distdet.verify, "distance_matrix", lambda g: _perturb(distance_matrix(g), *entry))
+        monkeypatch.setattr(distdet.verify, "bareiss_det", lambda d: k * (k + 1))
+        assert _cycle_inverse_scaled(k) is None
+        assert not cycle_inverse_identity(k)
+        assert not scalar_identity_checks(k)
+
+    @pytest.mark.parametrize("k, s, entry", [(2, 2, (0, 0)), (3, 2, (1, 3)), (4, 3, (5, 0)), (2, 4, (2, 1))])
+    def test_perturbed_transfer_matrix(self, monkeypatch, k, s, entry):
+        monkeypatch.setattr(distdet.verify, "_transfer_matrix", lambda k, s: _perturb(_transfer_matrix(k, s), *entry))
+        assert not congruence_check_theta(k, s)
+        assert not congruence_check_theta_prime(k, s)
+
+    @pytest.mark.parametrize("k, s", [(2, 2), (3, 4)])
+    def test_product_check_rejects_perturbed_target(self, k, s):
+        dh = distance_matrix(labeled_theta(k, s))
+        dg = distance_matrix(labeled_theta_shifted(k, s))
+        n_mat = _build_transport(dg, dh, k, s)
+        assert _is_congruence(n_mat, dh, dg)
+        size = len(dg)
+        for i, j in [(0, 1), (size - 1, 0), (k + s, k + s - 1), (1, size - 2)]:
+            assert not _is_congruence(n_mat, dh, _perturb(dg, i, j))
+
+    @pytest.mark.parametrize("k, s", [(2, 2), (3, 4)])
+    def test_pendant_check_rejects_perturbed_pendant_row(self, monkeypatch, k, s):
+        # the pendant row lies outside the cores that N is built from, so only
+        # the bordered product N D(H) N^T = D(G) can catch it
+        shifted = labeled_theta_shifted(k, s, pendant=True)
+        last = 2 * (k + s)
+
+        def perturbed_distances(g):
+            d = distance_matrix(g)
+            return _perturb(d, last, 0) if g == shifted else d
+
+        monkeypatch.setattr(distdet.verify, "distance_matrix", perturbed_distances)
+        assert congruence_check_theta(k, s)
+        assert not congruence_check_theta_prime(k, s)
+
+
+def test_identity_families_stay_fast():
+    # every identity family over the ranges `verify` runs; the integer forms
+    # take about 0.15 s on a shared 2-core x86-64 machine, rational
+    # Gauss-Jordan inverses took 1.2-1.5 s there, so the bound catches their return
+    pairs = [(k, s) for k in CONGRUENCE_RANGE for s in CONGRUENCE_RANGE]
+    start = time.perf_counter()
+    assert all(cycle_inverse_identity(k) for k in range(1, INVERSE_K_MAX + 1))
+    assert all(scalar_identity_checks(k) for k in range(1, INVERSE_K_MAX + 1))
+    assert all(congruence_check_theta(k, s) for k, s in pairs)
+    assert all(congruence_check_theta_prime(k, s) for k, s in pairs)
+    assert time.perf_counter() - start < 1.0
+
+
 class TestVerifyGraph:
     def test_supported_graph_passes(self):
         report = verify_graph(cycle_graph(5))
@@ -117,8 +211,8 @@ class TestVerifyGraph:
         assert report.oracle == (0, 1)
         assert "convention" in report.note
 
-    def test_fault_injection_fails(self):
-        assert not verify_graph(cycle_graph(5), fault=True).passed
+    def test_fault_injection_fails(self, flipped_closed_form):
+        assert not verify_graph(cycle_graph(5)).passed
 
     def test_json_dict_schema(self):
         report = verify_graph(path_graph(3))
@@ -142,8 +236,8 @@ class TestFuzzCampaign:
         assert [r.oracle for r in a.reports] == [r.oracle for r in b.reports]
         assert [r.n for r in a.reports] == [r.n for r in b.reports]
 
-    def test_fault_injection_detected(self):
-        summary = fuzz_campaign(count=20, max_n=20, seed=5, fault=True)
+    def test_fault_injection_detected(self, flipped_closed_form):
+        summary = fuzz_campaign(count=20, max_n=20, seed=5)
         assert not summary.all_passed
 
     def test_respects_max_n(self):
