@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .graphs import DisconnectedGraphError, Graph, GraphError, check_theta_triple, is_connected
+from .graphs import DisconnectedGraphError, Graph, check_theta_triple, is_connected
 
 
 @dataclass(frozen=True)
@@ -52,13 +52,6 @@ class Unsupported:
 
 
 BlockKind = Union[Edge, Cycle, Theta, Unsupported]
-
-
-class UnsupportedBlockError(GraphError):
-    def __init__(self, block: Block, reason: str):
-        super().__init__(f"unsupported block on vertices {sorted(block.vertices)}: {reason}")
-        self.block = block
-        self.reason = reason
 
 
 def biconnected_components(g: Graph) -> list[Block]:
@@ -251,15 +244,6 @@ def census(kinds: Iterable[BlockKind]) -> BlockInventory:
         elif isinstance(kind, Theta):
             thetas.append((kind.l, kind.p, kind.q))
     return BlockInventory(edge_blocks, tuple(sorted(cycles)), tuple(sorted(thetas)))
-
-
-def inventory(g: Graph) -> BlockInventory:
-    """Strict census of a graph's blocks; unsupported blocks raise."""
-    classified = classify_graph(g)
-    for block, kind in classified:
-        if isinstance(kind, Unsupported):
-            raise UnsupportedBlockError(block, kind.reason)
-    return census(kind for _, kind in classified)
 
 
 def block_subgraph(b: Block) -> Graph:

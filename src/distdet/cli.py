@@ -17,9 +17,10 @@ import statistics
 import sys
 import time
 
-from .blocks import Unsupported, classify_graph, kind_label
-from .formulas import BlockTooLargeError, FormulaResult, block_detcof, det_cof_closed
+from .blocks import BlockKind, Unsupported, classify_graph, kind_label
+from .formulas import MAX_ORACLE_BLOCK, BlockTooLargeError, FormulaResult, block_detcof, det_cof_closed
 from .graphs import BlockRequest, Graph, GraphError, check_theta_triple, format_edge_list, parse_edge_list, random_block_graph, triangle_chain
+from .linalg import DetCof
 from .verify import (
     congruence_check_theta,
     congruence_check_theta_prime,
@@ -40,15 +41,10 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _block_rows(g: Graph) -> list[dict]:
-    rows = []
-    for _, kind in classify_graph(g):
-        if isinstance(kind, Unsupported):
-            rows.append({"kind": kind_label(kind), "det": None, "cof": None})
-        else:
-            value = block_detcof(kind)
-            rows.append({"kind": kind_label(kind), "det": value.det, "cof": value.cof})
-    return rows
+def _block_row(kind: BlockKind, value: DetCof | None) -> dict:
+    """One row of the block table; value None means the block has no closed form."""
+    det, cof = (None, None) if value is None else value
+    return {"kind": kind_label(kind), "det": det, "cof": cof}
 
 
 def _block_lines(rows: list[dict]) -> list[str]:
@@ -74,7 +70,7 @@ def _unlimited_int_digits(fn):
 
 
 def _det_output(g: Graph, result: FormulaResult, fmt: str) -> str:
-    rows = [{"kind": kind_label(kind), "det": value.det, "cof": value.cof} for kind, value in result.blocks]
+    rows = [_block_row(kind, value) for kind, value in result.blocks]
     if fmt == "json":
         return json.dumps({"n": g.n, "det": result.det, "cof": result.cof, "blocks": rows, "provenance": result.provenance})
     lines = [f"det={result.det} cof={result.cof}", f"provenance: {result.provenance}"]
@@ -92,7 +88,8 @@ def cmd_det(args) -> int:
 
 def cmd_classify(args) -> int:
     g = parse_edge_list(_read_text(args.input))
-    rows = _block_rows(g)
+    # no oracle runs here: blocks without a closed form are listed as such
+    rows = [_block_row(kind, None if isinstance(kind, Unsupported) else block_detcof(kind)) for _, kind in classify_graph(g)]
     if args.format == "json":
         print(json.dumps({"n": g.n, "edges": g.edge_count, "blocks": rows}))
     else:
@@ -197,8 +194,9 @@ def bench_rows(max_n: int, reps: int) -> list[tuple[int, int, int, bool]]:
 
 
 def cmd_bench(args) -> int:
-    if args.max_n < 10:
-        raise ValueError("need --max-n >= 10")
+    if not 10 <= args.max_n <= MAX_ORACLE_BLOCK:
+        # the oracle runs on the whole graph, so its size is held to the block oracle limit
+        raise ValueError(f"need 10 <= --max-n <= {MAX_ORACLE_BLOCK}")
     if args.reps < 1:
         raise ValueError("need --reps >= 1")
     lines = ["n,closed_micros,oracle_micros,match"]

@@ -34,23 +34,23 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        """The one structural check of a graph: every edge is a pair u < v of
+        vertices in range, so there are no loops."""
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
         for u, v in self.edges:
             if not 0 <= u < v < self.n:
-                raise ValueError(f"bad edge ({u}, {v}) for a graph on {self.n} vertices")
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                if not (0 <= u < self.n and 0 <= v < self.n):
+                    raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+                raise ValueError(f"edge ({u}, {v}) must be stored as ({v}, {u})")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Normalize endpoint order and reject loops and out-of-range vertices."""
-        norm = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            norm.add((u, v) if u < v else (v, u))
-        return cls(n, frozenset(norm))
+        """Graph on n vertices with each edge's endpoints put in order u < v;
+        the constructor then rejects loops and out-of-range vertices."""
+        return cls(n, frozenset((u, v) if u < v else (v, u) for u, v in edges))
 
     @property
     def edge_count(self) -> int:

@@ -11,10 +11,6 @@ from typing import NamedTuple, Sequence
 
 IntMatrix = list[list[int]]
 
-# cost guard for the factorial-time cross-check routines
-_MINOR_LIMIT = 8
-
-
 class DetCof(NamedTuple):
     """Determinant and cofactor sum of a square matrix, both exact."""
 
@@ -34,18 +30,8 @@ def identity(n: int) -> IntMatrix:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def ones(n: int) -> IntMatrix:
-    return [[1] * n for _ in range(n)]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
-
-
-def mat_add(a, b):
-    if len(a) != len(b) or any(len(r) != len(s) for r, s in zip(a, b)):
-        raise ValueError("matrix shapes differ")
-    return [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
 
 
 def mat_sub(a, b):
@@ -150,52 +136,3 @@ def bareiss_detcof(a: Sequence[Sequence[int]]) -> DetCof:
                 row_i[k + 1 :] = [(x * pivot) // prev for x in row_i[k + 1 :]]
         prev = pivot
     return DetCof(det, -sign * m[n][n])
-
-
-def det_cofactor_expansion(a: Sequence[Sequence[int]]) -> int:
-    """First-row cofactor expansion, as an independent cross-check oracle."""
-    n = _square_size(a)
-    if n > _MINOR_LIMIT:
-        raise ValueError(f"cofactor expansion limited to n <= {_MINOR_LIMIT}")
-    return _det_expand([list(row) for row in a])
-
-
-def _det_expand(m) -> int:
-    n = len(m)
-    if n == 0:
-        return 1
-    if n == 1:
-        return m[0][0]
-    total = 0
-    sign = 1
-    for j in range(n):
-        if m[0][j]:
-            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-            total += sign * m[0][j] * _det_expand(minor)
-        sign = -sign
-    return total
-
-
-def cof_sum(a: Sequence[Sequence[int]]) -> int:
-    """Sum of all n^2 signed cofactors, via cof(A) = det(A + J) - det(A)."""
-    n = _square_size(a)
-    if n == 0:
-        raise ValueError("cofactor sum needs at least a 1x1 matrix")
-    shifted = [[x + 1 for x in row] for row in a]
-    return bareiss_det(shifted) - bareiss_det(a)
-
-
-def cof_sum_minors(a: Sequence[Sequence[int]]) -> int:
-    """Cofactor sum straight from the definition, one signed minor per entry."""
-    n = _square_size(a)
-    if n == 0:
-        raise ValueError("cofactor sum needs at least a 1x1 matrix")
-    if n > _MINOR_LIMIT:
-        raise ValueError(f"minor enumeration limited to n <= {_MINOR_LIMIT}")
-    total = 0
-    for i in range(n):
-        rows = [a[r] for r in range(n) if r != i]
-        for j in range(n):
-            minor = [[row[c] for c in range(n) if c != j] for row in rows]
-            total += (-1) ** (i + j) * _det_expand(minor)
-    return total

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .blocks import block_subgraph, classify_graph, kind_label
-from .formulas import compose_ghh, det_cof_closed
+from .formulas import MAX_ORACLE_BLOCK, compose_ghh, det_cof_closed
 from .graphs import (
     BlockRequest,
     Graph,
@@ -285,9 +285,13 @@ _THETA_MENU = [
 
 
 def random_block_request(max_n: int, rng: random.Random) -> BlockRequest:
-    """Sample a block multiset whose assembled graph has at most max_n vertices."""
-    if max_n < 2:
-        raise ValueError("need max_n >= 2")
+    """Sample a block multiset whose assembled graph has at most max_n vertices.
+
+    Every sampled graph also goes through the whole-graph oracle, so max_n is
+    held to the block oracle limit, MAX_ORACLE_BLOCK.
+    """
+    if not 2 <= max_n <= MAX_ORACLE_BLOCK:
+        raise ValueError(f"need 2 <= max_n <= {MAX_ORACLE_BLOCK}")
     budget = rng.randint(1, max_n - 1)
     edges = 0
     cycles: list[int] = []

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distdet.blocks import (
     Block,
@@ -6,11 +8,10 @@ from distdet.blocks import (
     Edge,
     Theta,
     Unsupported,
-    UnsupportedBlockError,
     biconnected_components,
+    census,
     classify_block,
     classify_graph,
-    inventory,
     kind_label,
     theta_family,
     theta_params,
@@ -22,6 +23,7 @@ from distdet.graphs import (
     attach_path,
     build_theta,
     cycle_graph,
+    is_connected,
     path_graph,
     random_block_graph,
     triangle_chain,
@@ -30,6 +32,11 @@ from distdet.graphs import (
 
 def complete_graph(n):
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def census_of(g):
+    """The census that det_cof_closed takes of a graph's blocks."""
+    return census(kind for _, kind in classify_graph(g))
 
 
 class TestDecomposition:
@@ -66,6 +73,36 @@ class TestDecomposition:
     def test_deterministic_order(self):
         g = triangle_chain(9)
         assert biconnected_components(g) == biconnected_components(g)
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree on 1..9 vertices plus any extra edges."""
+    n = draw(st.integers(1, 9))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    if n > 1:
+        vertex = st.integers(0, n - 1)
+        extra = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=12))
+        edges |= {(min(e), max(e)) for e in extra}
+    return Graph.from_edges(n, edges)
+
+
+def is_cut_vertex(g, v):
+    rest = [w for w in range(g.n) if w != v]
+    order = {w: i for i, w in enumerate(rest)}
+    kept = [(order[a], order[b]) for a, b in g.edges if v not in (a, b)]
+    return not is_connected(Graph.from_edges(len(rest), kept))
+
+
+class TestDecompositionInvariants:
+    @settings(deadline=None, max_examples=200)
+    @given(connected_graphs())
+    def test_blocks_partition_edges_and_share_cut_vertices(self, g):
+        blocks = biconnected_components(g)
+        assert sum(b.edge_count for b in blocks) == g.edge_count
+        assert frozenset().union(*(b.edges for b in blocks)) == g.edges
+        shared = {v for v in range(g.n) if sum(v in b.vertices for b in blocks) >= 2}
+        assert shared == {v for v in range(g.n) if is_cut_vertex(g, v)}
 
 
 class TestClassification:
@@ -133,7 +170,7 @@ class TestThetaFamily:
 class TestInventory:
     def test_worked_composite(self):
         g = random_block_graph(BlockRequest(edges=1, cycles=(3,), thetas=((1, 2, 2),)), seed=7)
-        inv = inventory(g)
+        inv = census_of(g)
         assert inv.edge_blocks == 1
         assert inv.cycle_lengths == (3,)
         assert inv.theta_triples == ((1, 2, 2),)
@@ -145,7 +182,7 @@ class TestInventory:
 
     def test_census_properties(self):
         req = BlockRequest(edges=2, cycles=(3, 5), thetas=((1, 2, 2), (2, 2, 2), (2, 2, 3), (2, 3, 3)))
-        inv = inventory(random_block_graph(req, seed=3))
+        inv = census_of(random_block_graph(req, seed=3))
         assert inv.edge_blocks == 2
         assert inv.cycle_lengths == (3, 5)
         assert inv.theta_one_even_pairs == ((2, 2),)
@@ -155,25 +192,24 @@ class TestInventory:
         assert inv.has_zero_block
 
     def test_even_cycle_flags_zero(self):
-        inv = inventory(cycle_graph(6))
+        inv = census_of(cycle_graph(6))
         assert inv.even_cycles == (6,)
         assert inv.has_zero_block
 
     def test_single_vertex_inventory(self):
-        inv = inventory(Graph(1, frozenset()))
+        inv = census_of(Graph(1, frozenset()))
         assert inv.block_count() == 0
 
-    def test_unsupported_raises_with_block(self):
-        g = complete_graph(4)
-        with pytest.raises(UnsupportedBlockError) as info:
-            inventory(g)
-        assert isinstance(info.value.block, Block)
-        assert info.value.block.vertex_count == 4
+    def test_census_leaves_unsupported_out(self):
+        # K4 glued to one edge at vertex 1: only the edge block is counted
+        merged = Graph.from_edges(5, [(0, 1)] + [(u + 1, v + 1) for u, v in complete_graph(4).edges])
+        inv = census_of(merged)
+        assert inv.block_count() == inv.edge_blocks == 1
 
     def test_round_trip_with_generator(self):
         for seed in range(15):
             req = BlockRequest(edges=seed % 4, cycles=(3, 4, 7)[: 1 + seed % 3], thetas=((1, 2, 2), (2, 2, 3))[: 1 + seed % 2])
-            inv = inventory(random_block_graph(req, seed))
+            inv = census_of(random_block_graph(req, seed))
             assert inv.edge_blocks == req.edges
             assert inv.cycle_lengths == tuple(sorted(req.cycles))
             assert inv.theta_triples == tuple(sorted(req.thetas))

@@ -177,6 +177,16 @@ class TestVerify:
         assert main(["verify", "--count", "8", "--max-n", "15", "--seed", "1"]) == 1
         assert capsys.readouterr().out.strip().endswith("FAIL")
 
+    def test_max_n_above_oracle_limit_rejected(self, capsys, monkeypatch):
+        def no_oracle(g):
+            raise AssertionError("oracle run")
+
+        monkeypatch.setattr("distdet.verify.det_cof_oracle", no_oracle)
+        start = time.perf_counter()
+        assert main(["verify", "--count", "1", "--max-n", str(MAX_ORACLE_BLOCK + 1)]) == 2
+        assert time.perf_counter() - start < 1
+        assert f"max_n <= {MAX_ORACLE_BLOCK}" in capsys.readouterr().err
+
     def test_report_file(self, tmp_path, capsys):
         report = tmp_path / "report.jsonl"
         assert main(["verify", "--count", "4", "--max-n", "12", "--seed", "2", "--report", str(report)]) == 0
@@ -213,3 +223,13 @@ class TestBench:
     def test_small_max_n_rejected(self, capsys):
         assert main(["bench", "--max-n", "5"]) == 2
         assert "max-n" in capsys.readouterr().err
+
+    def test_max_n_above_oracle_limit_rejected(self, capsys, monkeypatch):
+        def no_oracle(g):
+            raise AssertionError("oracle run")
+
+        monkeypatch.setattr("distdet.cli.det_cof_oracle", no_oracle)
+        start = time.perf_counter()
+        assert main(["bench", "--max-n", str(MAX_ORACLE_BLOCK + 1), "--reps", "1"]) == 2
+        assert time.perf_counter() - start < 1
+        assert f"--max-n <= {MAX_ORACLE_BLOCK}" in capsys.readouterr().err

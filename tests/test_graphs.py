@@ -37,11 +37,15 @@ class TestGraphValue:
         assert g.edges == frozenset({(0, 2), (0, 1)})
 
     def test_rejects_loops_and_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="self-loop at vertex 1"):
             Graph.from_edges(3, [(1, 1)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"edge \(0, 3\) out of range for n=3"):
             Graph.from_edges(3, [(0, 3)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"edge \(-1, 2\) out of range for n=3"):
+            Graph.from_edges(3, [(2, -1)])
+        with pytest.raises(ValueError, match="self-loop at vertex 0"):
+            Graph(2, frozenset({(0, 0)}))
+        with pytest.raises(ValueError, match=r"edge \(1, 0\) must be stored as \(0, 1\)"):
             Graph(2, frozenset({(1, 0)}))
 
     def test_adjacency_sorted(self):
@@ -49,10 +53,41 @@ class TestGraphValue:
         assert g.adjacency() == [[1, 3], [0, 3], [], [0, 1]]
 
 
+block_requests = st.builds(
+    BlockRequest,
+    edges=st.integers(0, 4),
+    cycles=st.lists(st.integers(3, 7), max_size=3).map(tuple),
+    thetas=st.lists(st.sampled_from([(1, 2, 2), (1, 2, 4), (2, 2, 2), (2, 2, 3), (2, 3, 4)]), max_size=2).map(tuple),
+).filter(lambda request: request.block_count() > 0)
+
+
+@st.composite
+def edge_sets(draw):
+    """Any simple graph on 1..12 vertices, edges given in either endpoint order, repeats allowed."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=30))
+    return n, pairs
+
+
 class TestParse:
     def test_round_trip(self):
         g = cycle_graph(5)
         assert parse_edge_list(format_edge_list(g, comment="c5")) == g
+
+    @settings(deadline=None)
+    @given(block_requests, st.integers(0, 2**32 - 1))
+    def test_round_trip_block_graphs(self, block_request, seed):
+        g = random_block_graph(block_request, seed)
+        assert parse_edge_list(format_edge_list(g)) == g
+
+    @settings(deadline=None)
+    @given(edge_sets())
+    def test_round_trip_from_edges(self, n_pairs):
+        n, pairs = n_pairs
+        g = Graph.from_edges(n, pairs)
+        assert g.edges == {(min(u, v), max(u, v)) for u, v in pairs}
+        assert parse_edge_list(format_edge_list(g)) == g
 
     def test_comments_blanks_crlf(self):
         text = "# header\r\n\r\n3\r\n0 1\r\n# middle\r\n1 2\r\n"

@@ -37,7 +37,7 @@ from distdet.verify import (
     verify_graph,
 )
 from distdet.blocks import biconnected_components
-from rational_reference import rat_inverse
+from reference import rat_inverse
 
 
 def complete_graph(n):
