@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Union
 
-from .graphs import DisconnectedGraphError, Graph, check_theta_triple, is_connected
+from .graphs import DisconnectedGraphError, Graph, check_theta_triple
+from .linalg import DetCof
 
 
 @dataclass(frozen=True)
@@ -58,12 +60,14 @@ def biconnected_components(g: Graph) -> list[Block]:
     """Blocks of a connected graph, one iterative lowpoint DFS.
 
     Tree and back edges are pushed on an edge stack; whenever a child's
-    lowpoint reaches back no further than the current vertex, the edges above
-    (and including) that tree edge are popped off as one block. Iterating
-    sorted adjacency from vertex 0 makes the block order deterministic. K1
-    yields no blocks.
+    lowpoint reaches back no further than the current vertex, the edges from
+    that tree edge to the top of the stack are cut off as one block. Iterating
+    sorted adjacency from vertex 0 makes the block order deterministic. The
+    same DFS decides connectivity: the graph is connected exactly when it
+    discovers every vertex. K1 yields no blocks.
     """
-    if not is_connected(g):
+    if g.n > g.edge_count + 1:
+        # too few edges to span n vertices; refused before anything of size n is allocated
         raise DisconnectedGraphError("block decomposition needs a connected graph")
     if g.n <= 1:
         return []
@@ -72,54 +76,37 @@ def biconnected_components(g: Graph) -> list[Block]:
     low = [0] * g.n
     edge_stack: list[tuple[int, int]] = []
     blocks: list[Block] = []
-    timer = 0
-    disc[0] = low[0] = timer
-    timer += 1
-    stack = [(0, -1, iter(adj[0]))]
+    disc[0] = low[0] = 0
+    timer = 1
+    # one frame per vertex on the DFS path: (v, parent, neighbor iterator,
+    # edge-stack index of the tree edge parent-v)
+    stack = [(0, -1, iter(adj[0]), 0)]
     while stack:
-        v, parent, neighbors = stack[-1]
-        descended = False
+        v, parent, neighbors, start = stack[-1]
         for w in neighbors:
             if disc[w] < 0:
-                edge_stack.append((v, w))
+                stack.append((w, v, iter(adj[w]), len(edge_stack)))
+                edge_stack.append((v, w) if v < w else (w, v))
                 disc[w] = low[w] = timer
                 timer += 1
-                stack.append((w, v, iter(adj[w])))
-                descended = True
                 break
             if w != parent and disc[w] < disc[v]:
-                edge_stack.append((v, w))
+                edge_stack.append((v, w) if v < w else (w, v))
                 if disc[w] < low[v]:
                     low[v] = disc[w]
-        if descended:
-            continue
-        stack.pop()
-        if stack:
-            u = stack[-1][0]
-            if low[v] < low[u]:
-                low[u] = low[v]
-            if low[v] >= disc[u]:
-                component = []
-                while edge_stack[-1] != (u, v):
-                    component.append(edge_stack.pop())
-                component.append(edge_stack.pop())
-                blocks.append(_make_block(component))
+        else:
+            stack.pop()
+            if stack:
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+                if low[v] >= disc[parent]:
+                    edges = frozenset(edge_stack[start:])
+                    del edge_stack[start:]
+                    blocks.append(Block(frozenset(chain.from_iterable(edges)), edges))
+    if timer < g.n:
+        raise DisconnectedGraphError("block decomposition needs a connected graph")
     assert not edge_stack
     return blocks
-
-
-def _make_block(component: list[tuple[int, int]]) -> Block:
-    edges = frozenset((u, v) if u < v else (v, u) for u, v in component)
-    vertices = frozenset(v for e in edges for v in e)
-    return Block(vertices, edges)
-
-
-def _block_degrees(b: Block) -> Counter:
-    deg: Counter = Counter()
-    for u, v in b.edges:
-        deg[u] += 1
-        deg[v] += 1
-    return deg
 
 
 def classify_block(b: Block) -> BlockKind:
@@ -131,7 +118,7 @@ def classify_block(b: Block) -> BlockKind:
     nv, ne = b.vertex_count, b.edge_count
     if nv == 2 and ne == 1:
         return Edge()
-    deg = _block_degrees(b)
+    deg = Counter(chain.from_iterable(b.edges))
     if ne == nv and nv >= 3 and all(d == 2 for d in deg.values()):
         return Cycle(nv)
     if ne == nv + 1:
@@ -174,6 +161,13 @@ def kind_label(kind: BlockKind) -> str:
     if isinstance(kind, Theta):
         return f"theta({kind.l},{kind.p},{kind.q})"
     return f"unsupported[{kind.reason}]"
+
+
+def block_row(kind: BlockKind, value: DetCof | None) -> dict:
+    """One row of a block table, as det, classify and verify --report print it;
+    value None means the block has no closed form."""
+    det, cof = (None, None) if value is None else value
+    return {"kind": kind_label(kind), "det": det, "cof": cof}
 
 
 def classify_graph(g: Graph) -> list[tuple[Block, BlockKind]]:

@@ -17,10 +17,9 @@ import statistics
 import sys
 import time
 
-from .blocks import BlockKind, Unsupported, classify_graph, kind_label
+from .blocks import Unsupported, block_row, classify_graph
 from .formulas import MAX_ORACLE_BLOCK, BlockTooLargeError, FormulaResult, block_detcof, det_cof_closed
 from .graphs import BlockRequest, Graph, GraphError, check_theta_triple, format_edge_list, parse_edge_list, random_block_graph, triangle_chain
-from .linalg import DetCof
 from .verify import (
     congruence_check_theta,
     congruence_check_theta_prime,
@@ -39,12 +38,6 @@ def _read_text(path: str) -> str:
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
-
-
-def _block_row(kind: BlockKind, value: DetCof | None) -> dict:
-    """One row of the block table; value None means the block has no closed form."""
-    det, cof = (None, None) if value is None else value
-    return {"kind": kind_label(kind), "det": det, "cof": cof}
 
 
 def _block_lines(rows: list[dict]) -> list[str]:
@@ -70,7 +63,7 @@ def _unlimited_int_digits(fn):
 
 
 def _det_output(g: Graph, result: FormulaResult, fmt: str) -> str:
-    rows = [_block_row(kind, value) for kind, value in result.blocks]
+    rows = [block_row(kind, value) for kind, value in result.blocks]
     if fmt == "json":
         return json.dumps({"n": g.n, "det": result.det, "cof": result.cof, "blocks": rows, "provenance": result.provenance})
     lines = [f"det={result.det} cof={result.cof}", f"provenance: {result.provenance}"]
@@ -89,7 +82,7 @@ def cmd_det(args) -> int:
 def cmd_classify(args) -> int:
     g = parse_edge_list(_read_text(args.input))
     # no oracle runs here: blocks without a closed form are listed as such
-    rows = [_block_row(kind, None if isinstance(kind, Unsupported) else block_detcof(kind)) for _, kind in classify_graph(g)]
+    rows = [block_row(kind, None if isinstance(kind, Unsupported) else block_detcof(kind)) for _, kind in classify_graph(g)]
     if args.format == "json":
         print(json.dumps({"n": g.n, "edges": g.edge_count, "blocks": rows}))
     else:
@@ -166,13 +159,14 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _median_micros(fn, reps: int) -> int:
+def _median_micros(fn, reps: int):
+    """(median micros over reps runs of fn, the last run's result)."""
     samples = []
     for _ in range(reps):
         start = time.perf_counter_ns()
-        fn()
+        result = fn()
         samples.append((time.perf_counter_ns() - start) / 1000)
-    return int(statistics.median(samples))
+    return int(statistics.median(samples)), result
 
 
 def bench_rows(max_n: int, reps: int) -> list[tuple[int, int, int, bool]]:
@@ -186,9 +180,9 @@ def bench_rows(max_n: int, reps: int) -> list[tuple[int, int, int, bool]]:
     rows = []
     for size in sizes:
         g = triangle_chain(size)
-        closed = _median_micros(lambda: det_cof_closed(g), reps)
-        oracle = _median_micros(lambda: det_cof_oracle(g), reps)
-        match = det_cof_closed(g).detcof == det_cof_oracle(g)
+        closed, closed_result = _median_micros(lambda: det_cof_closed(g), reps)
+        oracle, oracle_result = _median_micros(lambda: det_cof_oracle(g), reps)
+        match = closed_result.detcof == oracle_result
         rows.append((size, closed, oracle, match))
     return rows
 

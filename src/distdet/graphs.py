@@ -138,15 +138,6 @@ def bfs_distances(g: Graph, source: int, adj: list[list[int]] | None = None) -> 
     return dist
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    if g.n > g.edge_count + 1:
-        # too few edges to span n vertices; answered before anything of size n is allocated
-        return False
-    return min(bfs_distances(g, 0)) >= 0
-
-
 def distance_matrix(g: Graph) -> IntMatrix:
     """All-pairs hop distances via one BFS per vertex."""
     adj = g.adjacency()

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .blocks import block_subgraph, classify_graph, kind_label
+from .blocks import block_row, block_subgraph, classify_graph
 from .formulas import MAX_ORACLE_BLOCK, compose_ghh, det_cof_closed
 from .graphs import (
     BlockRequest,
@@ -248,7 +248,7 @@ def verify_graph(g: Graph) -> VerifyReport:
     block_values = []
     for block, kind in classified:
         value = det_cof_oracle(block_subgraph(block))
-        rows.append({"kind": kind_label(kind), "det": value.det, "cof": value.cof})
+        rows.append(block_row(kind, value))
         block_values.append(value)
     ghh = compose_ghh(block_values) if block_values else None
     closed = det_cof_closed(g, classified).detcof

@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,11 +26,13 @@ from distdet.graphs import (
     attach_path,
     build_theta,
     cycle_graph,
-    is_connected,
     path_graph,
     random_block_graph,
     triangle_chain,
 )
+from distdet.verify import random_block_request
+import reference
+from reference import is_connected
 
 
 def complete_graph(n):
@@ -103,6 +108,80 @@ class TestDecompositionInvariants:
         assert frozenset().union(*(b.edges for b in blocks)) == g.edges
         shared = {v for v in range(g.n) if sum(v in b.vertices for b in blocks) >= 2}
         assert shared == {v for v in range(g.n) if is_cut_vertex(g, v)}
+
+
+@st.composite
+def any_graphs(draw):
+    """Any simple graph on 1..10 vertices, connected or not."""
+    n = draw(st.integers(1, 10))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=20))
+    return Graph.from_edges(n, {(min(e), max(e)) for e in pairs})
+
+
+def classified_or_error(classify, g):
+    try:
+        return classify(g)
+    except DisconnectedGraphError as exc:
+        return ("disconnected", str(exc))
+
+
+class TestAgainstTwoPassReference:
+    """The one-DFS decomposition against the BFS-then-DFS reference: the same
+    blocks in the same order with the same kinds, or the same error."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(any_graphs())
+    def test_random_graphs(self, g):
+        assert classified_or_error(classify_graph, g) == classified_or_error(reference.classify_graph, g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # enough edges to span every vertex, yet disconnected: only a traversal can tell
+            Graph.from_edges(5, complete_graph(4).edges),
+            Graph.from_edges(5, [(u + 1, v + 1) for u, v in complete_graph(4).edges]),
+            Graph.from_edges(8, list(cycle_graph(4).edges) + [(u + 4, v + 4) for u, v in cycle_graph(4).edges]),
+        ],
+    )
+    def test_disconnected_with_enough_edges(self, g):
+        assert g.n <= g.edge_count + 1 and not is_connected(g)
+        assert classified_or_error(classify_graph, g) == classified_or_error(reference.classify_graph, g)
+
+    def test_fuzz_stream_and_families(self):
+        graphs = [triangle_chain(n) for n in range(1, 30)]
+        graphs += [build_theta(*t) for t in [(1, 2, 2), (2, 2, 2), (2, 2, 7), (3, 4, 5), (1, 6, 8)]]
+        graphs.append(Graph.from_edges(5, [(0, 1)] + [(u + 1, v + 1) for u, v in complete_graph(4).edges]))
+        for index in range(40):
+            # the graphs verify's fuzz campaign draws
+            rng = random.Random(index)
+            graphs.append(random_block_graph(random_block_request(40, rng), rng.randrange(2**32)))
+        for g in graphs:
+            assert classify_graph(g) == reference.classify_graph(g)
+
+
+def glued_end_to_end(pieces):
+    """The pieces in a row, vertex 0 of each identified with the last vertex of the one before."""
+    edges = []
+    offset = 0
+    for piece in pieces:
+        edges += [(u + offset, v + offset) for u, v in piece.edges]
+        offset += piece.n - 1
+    return Graph.from_edges(offset + 1, edges)
+
+
+class TestScaling:
+    def test_two_hundred_thousand_vertices(self):
+        # a quadratic edge-stack scan or a recursive DFS would not finish in time
+        g = glued_end_to_end([path_graph(100_001)] + [cycle_graph(251), build_theta(2, 2, 251)] * 200)
+        assert g.n > 200_000
+        start = time.perf_counter()
+        classified = classify_graph(g)
+        assert time.perf_counter() - start < 30
+        kinds = census(kind for _, kind in classified)
+        assert kinds.edge_blocks == 100_000
+        assert kinds.cycle_lengths == (251,) * 200
+        assert kinds.theta_triples == ((2, 2, 251),) * 200
 
 
 class TestClassification:

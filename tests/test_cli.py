@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import distdet.cli
 from distdet.cli import main
 from distdet.formulas import MAX_ORACLE_BLOCK
 from distdet.graphs import BlockRequest, Graph, cycle_graph, format_edge_list, parse_edge_list, random_block_graph
@@ -70,6 +71,17 @@ class TestDet:
         bad.write_text("4\n0 1\n2 3\n")
         assert main(["det", str(bad)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shift", [0, 1])
+    @pytest.mark.parametrize("command", ["det", "classify"])
+    def test_disconnected_with_enough_edges(self, tmp_path, capsys, command, shift):
+        # K4 and one isolated vertex: 6 edges could span 5 vertices, so only the
+        # traversal sees the disconnection, whether vertex 4 or vertex 0 is isolated
+        k4 = [(u + shift, v + shift) for u in range(4) for v in range(u + 1, 4)]
+        path = tmp_path / "k4_and_isolated.txt"
+        path.write_text(format_edge_list(Graph.from_edges(5, k4)))
+        assert main([command, str(path)]) == 2
+        assert "connected" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["det", "/nonexistent/graph.txt"]) == 2
@@ -210,6 +222,21 @@ class TestBench:
             assert int(n) in (10, 12)
             assert int(closed) >= 0 and int(oracle) >= 0
             assert match == "true"
+
+    def test_oracle_runs_once_per_rep(self, capsys, monkeypatch):
+        calls = []
+        original = distdet.cli.det_cof_oracle
+
+        def counted(g):
+            calls.append(g.n)
+            return original(g)
+
+        monkeypatch.setattr(distdet.cli, "det_cof_oracle", counted)
+        assert main(["bench", "--max-n", "20", "--reps", "3"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(n, match) for n, _, _, match in rows] == [("10", "true"), ("20", "true")]
+        # the match column comes from the timed runs, not from one more oracle pass
+        assert calls == [10] * 3 + [20] * 3
 
     def test_output_file(self, tmp_path):
         out = tmp_path / "bench.csv"

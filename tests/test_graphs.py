@@ -13,7 +13,6 @@ from distdet.graphs import (
     cycle_graph,
     distance_matrix,
     format_edge_list,
-    is_connected,
     labeled_theta,
     labeled_theta_shifted,
     parse_edge_list,
@@ -21,6 +20,7 @@ from distdet.graphs import (
     random_block_graph,
     triangle_chain,
 )
+from reference import is_connected
 
 
 def degrees(g: Graph) -> list[int]:
