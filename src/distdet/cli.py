@@ -20,14 +20,7 @@ import time
 from .blocks import Unsupported, block_row, classify_graph
 from .formulas import MAX_ORACLE_BLOCK, BlockTooLargeError, FormulaResult, block_detcof, det_cof_closed
 from .graphs import BlockRequest, Graph, GraphError, check_theta_triple, format_edge_list, parse_edge_list, random_block_graph, triangle_chain
-from .verify import (
-    congruence_check_theta,
-    congruence_check_theta_prime,
-    cycle_inverse_identity,
-    det_cof_oracle,
-    fuzz_campaign,
-    scalar_identity_checks,
-)
+from .verify import cycle_inverse_checks, det_cof_oracle, fuzz_campaign, theta_congruence_checks
 
 INVERSE_K_MAX = 12
 CONGRUENCE_RANGE = range(2, 7)
@@ -50,7 +43,8 @@ def _block_lines(rows: list[dict]) -> list[str]:
 def _unlimited_int_digits(fn):
     """fn() with the int/str digit limit lifted, so that results of any size
     can be printed. The limit is restored at once; it stays in force while
-    input is parsed. Interpreters before 3.11 have no limit."""
+    input is parsed. Interpreters without the limit (CPython before 3.10.7)
+    lack set_int_max_str_digits and need no lifting."""
     set_limit = getattr(sys, "set_int_max_str_digits", None)
     if set_limit is None:
         return fn()
@@ -96,11 +90,10 @@ def cmd_verify(args) -> int:
         with open(args.report, "w", encoding="utf-8") as handle:
             for report in summary.reports:
                 handle.write(json.dumps(report.to_json_dict()) + "\n")
-    inverse_ok = sum(cycle_inverse_identity(k) for k in range(1, INVERSE_K_MAX + 1))
-    scalar_ok = sum(scalar_identity_checks(k) for k in range(1, INVERSE_K_MAX + 1))
+    # each proof runs once per parameter; zip(*) sums its two verdicts apart
+    inverse_ok, scalar_ok = map(sum, zip(*(cycle_inverse_checks(k) for k in range(1, INVERSE_K_MAX + 1))))
     pairs = [(k, s) for k in CONGRUENCE_RANGE for s in CONGRUENCE_RANGE]
-    congruence_ok = sum(congruence_check_theta(k, s) for k, s in pairs)
-    pendant_ok = sum(congruence_check_theta_prime(k, s) for k, s in pairs)
+    congruence_ok, pendant_ok = map(sum, zip(*(theta_congruence_checks(k, s) for k, s in pairs)))
 
     print(f"graphs: {summary.passed}/{summary.count} passed")
     print(f"cycle inverse identity (k<=12): {inverse_ok}/{INVERSE_K_MAX}")

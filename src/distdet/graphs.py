@@ -195,25 +195,14 @@ def labeled_theta(k: int, s: int = 1, pendant: bool = False) -> Graph:
     vertices s..s+2k induce the odd cycle and both diagonal quadrants of the
     distance matrix equal the path matrix |i-j|. With s=1 this is the base
     theta(1,2,2k) labeling whose first row is (0, 1, 2, ..., 2, 1).
+    labeled_theta(k + 1, s - 1) lives on the same vertices with the chord one
+    step out, at (s-1, s+2k+1): the partner of the theta congruence.
     pendant=True appends one extra vertex attached to vertex 0.
     """
     if k < 1 or s < 1:
         raise ValueError("need k >= 1 and s >= 1")
     n = 2 * k + 2 * s
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1), (s, s + 2 * k)]
-    if pendant:
-        edges.append((0, n))
-        n += 1
-    return Graph.from_edges(n, edges)
-
-
-def labeled_theta_shifted(k: int, s: int, pendant: bool = False) -> Graph:
-    """theta(1, 2(s-1), 2(k+1)) on the same vertex set as labeled_theta(k, s),
-    with the chord moved one step to (s-1, s+2k+1)."""
-    if k < 1 or s < 2:
-        raise ValueError("need k >= 1 and s >= 2")
-    n = 2 * k + 2 * s
-    edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1), (s - 1, s + 2 * k + 1)]
     if pendant:
         edges.append((0, n))
         n += 1

@@ -58,41 +58,6 @@ def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def bareiss_det(a: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix, fraction-free Bareiss elimination.
-
-    Pivots on the first nonzero entry in each column with row-swap sign
-    tracking; every interior division in the recurrence is exact. The empty
-    0x0 matrix has determinant 1.
-    """
-    n = _square_size(a)
-    if n == 0:
-        return 1
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        row_k = m[k][k + 1 :]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            f = row_i[k]
-            if f:
-                row_i[k + 1 :] = [(x * pivot - f * y) // prev for x, y in zip(row_i[k + 1 :], row_k)]
-            else:
-                row_i[k + 1 :] = [(x * pivot) // prev for x in row_i[k + 1 :]]
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
 def bareiss_detcof(a: Sequence[Sequence[int]]) -> DetCof:
     """(det A, cof A) from one fraction-free Bareiss pass over the bordered
     matrix M = [[A, 1], [1^T, 0]].

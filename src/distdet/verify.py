@@ -23,13 +23,11 @@ from .graphs import (
     cycle_graph,
     distance_matrix,
     labeled_theta,
-    labeled_theta_shifted,
     random_block_graph,
 )
 from .linalg import (
     DetCof,
     IntMatrix,
-    bareiss_det,
     bareiss_detcof,
     identity,
     mat_mul,
@@ -59,7 +57,7 @@ def _cycle_inverse_scaled(k: int) -> Optional[IntMatrix]:
     n = 2 * k + 1
     scale = k * (k + 1)
     d = distance_matrix(cycle_graph(n))
-    if bareiss_det(d) != scale:
+    if bareiss_detcof(d).det != scale:
         return None
     s = [
         [2 * k + 1 - scale * (2 * int(i == j) + int(j == (i + k) % n) + int(j == (i + k + 1) % n)) for j in range(n)]
@@ -70,28 +68,21 @@ def _cycle_inverse_scaled(k: int) -> Optional[IntMatrix]:
     return s
 
 
-def cycle_inverse_identity(k: int) -> bool:
-    """Check the explicit inverse of the odd cycle distance matrix.
+def cycle_inverse_checks(k: int) -> tuple[bool, bool]:
+    """(inverse_ok, scalars_ok) for the odd cycle C_{2k+1}, from one proof.
 
-    For C_{2k+1}: det D = k(k+1) and
-    D^{-1} = -2I - C^k - C^{k+1} + (2k+1)/(k(k+1)) J
-    where C is the cyclic shift. Verified by multiplying out k(k+1) D^{-1}
-    exactly in integers.
-    """
-    return _cycle_inverse_scaled(k) is not None
+    inverse_ok: det D = k(k+1) and the explicit inverse
+    D^{-1} = -2I - C^k - C^{k+1} + (2k+1)/(k(k+1)) J, where C is the cyclic
+    shift, multiplied out as k(k+1) D^{-1} exactly in integers.
 
-
-def scalar_identity_checks(k: int) -> bool:
-    """Check the three quadratic-form values used alongside the cycle inverse.
-
-    With v = (1, 2, ..., k, k+1, k, ..., 2, 1) and D = D(C_{2k+1}):
+    scalars_ok: with v = (1, 2, ..., k, k+1, k, ..., 2, 1) the three forms
     v D^{-1} v = (k+1)/k, v D^{-1} 1 = (k+1)/k, 1 D^{-1} 1 = (2k+1)/(k(k+1)).
-    The forms are evaluated on the proved integer matrix k(k+1) D^{-1}, so
-    they must come to (k+1)^2, (k+1)^2 and 2k+1.
+    They are evaluated on the proved integer matrix k(k+1) D^{-1}, so they
+    must come to (k+1)^2, (k+1)^2 and 2k+1. Both are False when the proof fails.
     """
     s = _cycle_inverse_scaled(k)
     if s is None:
-        return False
+        return False, False
     v = list(range(1, k + 2)) + list(range(k, 0, -1))
     one = [1] * (2 * k + 1)
     s_v, s_one = mat_vec(s, v), mat_vec(s, one)
@@ -99,7 +90,7 @@ def scalar_identity_checks(k: int) -> bool:
     def dot(x, y):
         return sum(a * b for a, b in zip(x, y))
 
-    return dot(v, s_v) == (k + 1) ** 2 and dot(v, s_one) == (k + 1) ** 2 and dot(one, s_one) == 2 * k + 1
+    return True, dot(v, s_v) == (k + 1) ** 2 and dot(v, s_one) == (k + 1) ** 2 and dot(one, s_one) == 2 * k + 1
 
 
 def _transfer_matrix(k: int, s: int) -> list[list[int]]:
@@ -136,7 +127,7 @@ def _build_transport(dg, dh, k: int, s: int) -> Optional[IntMatrix]:
     # Both matrices split into quadrants [[P, X^T], [X, P]] over the same
     # path matrix P[i][j] = |i-j|; N = [[I, 0], [(A - T B) P^{-1}, T]] is the
     # candidate transport of D(H) to D(G). Returns N if that lower-left block
-    # is integral, else None; _is_congruence is the check that N transports.
+    # is integral, else None; theta_congruence_checks checks that N transports.
     m = k + s
     p = [[abs(i - j) for j in range(m)] for i in range(m)]
     for mat in (dg, dh):
@@ -154,49 +145,36 @@ def _build_transport(dg, dh, k: int, s: int) -> Optional[IntMatrix]:
     return n_mat
 
 
-def _is_congruence(n_mat, dh, dg) -> bool:
-    """N D(H) N^T = D(G) entry by entry, and det N = +-1 so that the
-    congruence preserves the determinant."""
-    if mat_mul(mat_mul(n_mat, dh), transpose(n_mat)) != dg:
-        return False
-    det_n = bareiss_det(n_mat)
-    return det_n * det_n == 1
+def theta_congruence_checks(k: int, s: int) -> tuple[bool, bool]:
+    """(plain_ok, pendant_ok): exact congruences between the labeled thetas
+    H = theta(1,2s,2k) and G = theta(1,2s-2,2k+2), plain and with the pendant
+    vertex H' and G'.
 
-
-def congruence_check_theta(k: int, s: int) -> bool:
-    """Exact congruence between D(theta(1,2s,2k)) and D(theta(1,2s-2,2k+2)).
-
-    Both graphs use the labeled vertex order on 2(k+s) vertices. The check
-    reconstructs the transformation N in integers, verifies N D(H) N^T = D(G)
-    entry by entry, and that det N * det N^T = 1 (so the congruence preserves
-    the determinant).
+    N is reconstructed in integers from the 2(k+s)-vertex cores of D(H') and
+    D(G') and extended by a 1 block for the pendant vertex. With det N = +-1,
+    so that the congruence preserves the determinant, one product
+    N D(H') N^T is formed. pendant_ok: it equals D(G') entry by entry.
+    plain_ok: the cores equal the plain D(H) and D(G), and the product's
+    leading core block, which is N core(D(H')) N^T, equals D(G).
     """
     if k < 2 or s < 2:
         raise ValueError("need k >= 2 and s >= 2")
-    dh = distance_matrix(labeled_theta(k, s))
-    dg = distance_matrix(labeled_theta_shifted(k, s))
-    n_mat = _build_transport(dg, dh, k, s)
-    return n_mat is not None and _is_congruence(n_mat, dh, dg)
-
-
-def congruence_check_theta_prime(k: int, s: int) -> bool:
-    """Same congruence for the pendant-vertex variants, N extended by a 1 block.
-
-    N is built from the 2(k+s)-vertex cores; the bordered product contains
-    the core product, so only the bordered one is formed and checked.
-    """
-    if k < 2 or s < 2:
-        raise ValueError("need k >= 2 and s >= 2")
-    m = k + s
-    dh = distance_matrix(labeled_theta(k, s, pendant=True))
-    dg = distance_matrix(labeled_theta_shifted(k, s, pendant=True))
-    core_g = [row[: 2 * m] for row in dg[: 2 * m]]
-    core_h = [row[: 2 * m] for row in dh[: 2 * m]]
+    size = 2 * (k + s)
+    dh, dg = distance_matrix(labeled_theta(k, s)), distance_matrix(labeled_theta(k + 1, s - 1))
+    dh_p = distance_matrix(labeled_theta(k, s, pendant=True))
+    dg_p = distance_matrix(labeled_theta(k + 1, s - 1, pendant=True))
+    core_h = [row[:size] for row in dh_p[:size]]
+    core_g = [row[:size] for row in dg_p[:size]]
     n_core = _build_transport(core_g, core_h, k, s)
     if n_core is None:
-        return False
-    bordered = [row + [0] for row in n_core] + [[0] * (2 * m) + [1]]
-    return _is_congruence(bordered, dh, dg)
+        return False, False
+    det_n = bareiss_detcof(n_core).det
+    if det_n * det_n != 1:
+        return False, False
+    n_mat = [row + [0] for row in n_core] + [[0] * size + [1]]
+    product = mat_mul(mat_mul(n_mat, dh_p), transpose(n_mat))
+    plain_ok = core_h == dh and core_g == dg and [row[:size] for row in product[:size]] == dg
+    return plain_ok, product == dg_p
 
 
 @dataclass

@@ -18,7 +18,6 @@ from typing import Sequence
 
 from distdet.blocks import Block, BlockKind, Cycle, Edge, Theta, Unsupported, theta_params
 from distdet.graphs import DisconnectedGraphError, Graph, bfs_distances
-from distdet.linalg import bareiss_det
 
 # cost guard for the factorial-time cross-check routines
 _MINOR_LIMIT = 8
@@ -104,7 +103,7 @@ def cof_sum(a: Sequence[Sequence[int]]) -> int:
     if n == 0:
         raise ValueError("cofactor sum needs at least a 1x1 matrix")
     shifted = [[x + 1 for x in row] for row in a]
-    return bareiss_det(shifted) - bareiss_det(a)
+    return int(rat_det(shifted) - rat_det(a))
 
 
 def cof_sum_minors(a: Sequence[Sequence[int]]) -> int:

@@ -26,20 +26,12 @@ from distdet.graphs import (
     cycle_graph,
     distance_matrix,
     labeled_theta,
-    labeled_theta_shifted,
     random_block_graph,
     triangle_chain,
 )
-from distdet.linalg import bareiss_det
-from distdet.verify import (
-    congruence_check_theta,
-    congruence_check_theta_prime,
-    cycle_inverse_identity,
-    det_cof_oracle,
-    fuzz_campaign,
-    scalar_identity_checks,
-)
-from reference import cof_sum, cof_sum_minors, det_cofactor_expansion
+from distdet.linalg import bareiss_detcof
+from distdet.verify import cycle_inverse_checks, det_cof_oracle, fuzz_campaign, theta_congruence_checks
+from reference import cof_sum, cof_sum_minors, det_cofactor_expansion, rat_det
 
 
 def test_criterion_01_cycles():
@@ -117,15 +109,17 @@ def test_criterion_06_theta_path_family():
 
 def test_criterion_07_proof_identities():
     for k in range(1, 13):
-        assert cycle_inverse_identity(k), f"inverse k={k}"
-        assert scalar_identity_checks(k), f"scalars k={k}"
+        inverse_ok, scalars_ok = cycle_inverse_checks(k)
+        assert inverse_ok, f"inverse k={k}"
+        assert scalars_ok, f"scalars k={k}"
     for k in range(2, 7):
         for s in range(2, 7):
-            assert congruence_check_theta(k, s), (k, s)
-            assert congruence_check_theta_prime(k, s), (k, s)
+            plain_ok, pendant_ok = theta_congruence_checks(k, s)
+            assert plain_ok, (k, s)
+            assert pendant_ok, (k, s)
             dh = distance_matrix(labeled_theta(k, s))
-            dg = distance_matrix(labeled_theta_shifted(k, s))
-            assert bareiss_det(dh) == bareiss_det(dg) == -((k + s) ** 2)
+            dg = distance_matrix(labeled_theta(k + 1, s - 1))
+            assert bareiss_detcof(dh).det == bareiss_detcof(dg).det == -((k + s) ** 2)
     print("criterion 07 PASS: inverse and scalar identities (k<=12), congruences (k,s<=6)")
 
 
@@ -149,14 +143,14 @@ def test_criterion_09_kernel_cross_checks():
     for _ in range(200):
         n = rng.randint(1, 6)
         matrix = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        det = bareiss_det(matrix)
-        assert det == det_cofactor_expansion(matrix)
+        det = bareiss_detcof(matrix).det
+        assert det == det_cofactor_expansion(matrix) == rat_det(matrix)
         cof = cof_sum(matrix)
         assert cof == cof_sum_minors(matrix)
         for x in (-3, 1, 7):
             shifted = [[entry + x for entry in row] for row in matrix]
-            assert bareiss_det(shifted) == det + x * cof
-    print("criterion 09 PASS: 200 seeded matrices (n<=6), bareiss/cofactor/minor/shift all agree")
+            assert bareiss_detcof(shifted).det == det + x * cof
+    print("criterion 09 PASS: 200 seeded matrices (n<=6), bareiss/cofactor/rational/minor/shift all agree")
 
 
 def test_criterion_10_performance():

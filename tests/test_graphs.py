@@ -14,7 +14,6 @@ from distdet.graphs import (
     distance_matrix,
     format_edge_list,
     labeled_theta,
-    labeled_theta_shifted,
     parse_edge_list,
     path_graph,
     random_block_graph,
@@ -213,8 +212,9 @@ class TestLabeledFamilies:
             assert cyc == [[min(abs(i - j), m - abs(i - j)) for j in range(m)] for i in range(m)]
 
     def test_quadrants_are_path_matrices(self):
-        for k, s, builder in [(2, 3, labeled_theta), (2, 3, labeled_theta_shifted), (4, 2, labeled_theta_shifted)]:
-            d = distance_matrix(builder(k, s))
+        # labeled_theta(k + 1, s - 1) is the shifted-chord partner on the same vertices
+        for k, s in [(2, 3), (3, 2), (5, 1)]:
+            d = distance_matrix(labeled_theta(k, s))
             m = k + s
             p = [[abs(i - j) for j in range(m)] for i in range(m)]
             assert [row[:m] for row in d[:m]] == p
@@ -224,7 +224,7 @@ class TestLabeledFamilies:
         g = labeled_theta(3, 2)
         assert g.n == 10 and g.edge_count == 11
         assert (2, 8) in g.edges
-        h = labeled_theta_shifted(3, 2)
+        h = labeled_theta(4, 1)
         assert h.n == 10 and (1, 9) in h.edges
 
     def test_pendant_variants(self):
@@ -232,14 +232,14 @@ class TestLabeledFamilies:
         assert g.n == 9
         assert (0, 8) in g.edges
         assert degrees(g)[8] == 1
-        h = labeled_theta_shifted(2, 2, pendant=True)
+        h = labeled_theta(3, 1, pendant=True)
         assert h.n == 9 and (0, 8) in h.edges
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             labeled_theta(0, 1)
         with pytest.raises(ValueError):
-            labeled_theta_shifted(2, 1)
+            labeled_theta(3, 0)
 
 
 class TestRandomBlockGraph:

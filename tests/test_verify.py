@@ -13,27 +13,22 @@ from distdet.graphs import (
     cycle_graph,
     distance_matrix,
     labeled_theta,
-    labeled_theta_shifted,
     path_graph,
     random_block_graph,
 )
 from distdet.formulas import det_cof_closed
-from distdet.linalg import DetCof, bareiss_det
-from distdet.cli import CONGRUENCE_RANGE, INVERSE_K_MAX
+from distdet.linalg import DetCof, bareiss_detcof, identity
+from distdet.cli import CONGRUENCE_RANGE, INVERSE_K_MAX, main
 from distdet.verify import (
-    _build_transport,
     _cycle_inverse_scaled,
-    _is_congruence,
     _path_inverse_scaled,
     _transfer_matrix,
     block_subgraph,
-    congruence_check_theta,
-    congruence_check_theta_prime,
-    cycle_inverse_identity,
+    cycle_inverse_checks,
     det_cof_oracle,
     fuzz_campaign,
     random_block_request,
-    scalar_identity_checks,
+    theta_congruence_checks,
     verify_graph,
 )
 from distdet.blocks import biconnected_components
@@ -77,32 +72,50 @@ def test_block_subgraph_relabels():
 class TestProofIdentities:
     @pytest.mark.parametrize("k", [1, 2, 3, 6])
     def test_cycle_inverse(self, k):
-        assert cycle_inverse_identity(k)
+        inverse_ok, _ = cycle_inverse_checks(k)
+        assert inverse_ok
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_scalar_identities(self, k):
-        assert scalar_identity_checks(k)
+        _, scalars_ok = cycle_inverse_checks(k)
+        assert scalars_ok
 
     @pytest.mark.parametrize("k, s", [(2, 2), (3, 2), (2, 4), (4, 3)])
     def test_congruence(self, k, s):
-        assert congruence_check_theta(k, s)
-        assert congruence_check_theta_prime(k, s)
+        plain_ok, pendant_ok = theta_congruence_checks(k, s)
+        assert plain_ok
+        assert pendant_ok
 
     @pytest.mark.parametrize("k, s", [(2, 2), (3, 4)])
     def test_congruent_matrices_share_determinant(self, k, s):
         dh = distance_matrix(labeled_theta(k, s))
-        dg = distance_matrix(labeled_theta_shifted(k, s))
-        assert bareiss_det(dh) == bareiss_det(dg) == -((k + s) ** 2)
+        dg = distance_matrix(labeled_theta(k + 1, s - 1))
+        assert bareiss_detcof(dh).det == bareiss_detcof(dg).det == -((k + s) ** 2)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            cycle_inverse_identity(0)
+            cycle_inverse_checks(0)
         with pytest.raises(ValueError):
-            scalar_identity_checks(0)
+            theta_congruence_checks(1, 2)
         with pytest.raises(ValueError):
-            congruence_check_theta(1, 2)
-        with pytest.raises(ValueError):
-            congruence_check_theta_prime(2, 1)
+            theta_congruence_checks(2, 1)
+
+
+def test_verify_runs_each_proof_once(monkeypatch, capsys):
+    # one cycle proof per k <= 12 and one transport per (k, s) pair, shared by
+    # the two verdicts each proof feeds
+    calls = {"_cycle_inverse_scaled": 0, "_build_transport": 0}
+    for name in calls:
+        original = getattr(distdet.verify, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(distdet.verify, name, counted)
+    assert main(["verify", "--count", "1", "--max-n", "10"]) == 0
+    assert capsys.readouterr().out.endswith("PASS\n")
+    assert calls == {"_cycle_inverse_scaled": INVERSE_K_MAX, "_build_transport": len(CONGRUENCE_RANGE) ** 2}
 
 
 @pytest.mark.parametrize(
@@ -127,66 +140,88 @@ def _perturb(matrix, i, j):
     return out
 
 
+def _perturb_graph(monkeypatch, target, i, j):
+    """Make verify see D(target) with entry (i, j) raised by one."""
+
+    def perturbed_distances(g):
+        d = distance_matrix(g)
+        return _perturb(d, i, j) if g == target else d
+
+    monkeypatch.setattr(distdet.verify, "distance_matrix", perturbed_distances)
+
+
 class TestProofChecksRejectBadInput:
     """Each check is fed a corrupted input from outside and must say False."""
 
     @pytest.mark.parametrize("k, entry", [(1, (0, 1)), (3, (2, 2)), (5, (0, 7)), (6, (12, 3))])
     def test_perturbed_cycle_matrix(self, monkeypatch, k, entry):
         monkeypatch.setattr(distdet.verify, "distance_matrix", lambda g: _perturb(distance_matrix(g), *entry))
-        assert not cycle_inverse_identity(k)
-        assert not scalar_identity_checks(k)
+        assert cycle_inverse_checks(k) == (False, False)
 
     @pytest.mark.parametrize("k, entry", [(2, (0, 1)), (4, (3, 8))])
     def test_perturbed_cycle_matrix_caught_by_the_product(self, monkeypatch, k, entry):
         # with the determinant check blinded, D S = k(k+1) I alone must reject
         monkeypatch.setattr(distdet.verify, "distance_matrix", lambda g: _perturb(distance_matrix(g), *entry))
-        monkeypatch.setattr(distdet.verify, "bareiss_det", lambda d: k * (k + 1))
+        monkeypatch.setattr(distdet.verify, "bareiss_detcof", lambda d: DetCof(k * (k + 1), 0))
         assert _cycle_inverse_scaled(k) is None
-        assert not cycle_inverse_identity(k)
-        assert not scalar_identity_checks(k)
+        assert cycle_inverse_checks(k) == (False, False)
 
     @pytest.mark.parametrize("k, s, entry", [(2, 2, (0, 0)), (3, 2, (1, 3)), (4, 3, (5, 0)), (2, 4, (2, 1))])
     def test_perturbed_transfer_matrix(self, monkeypatch, k, s, entry):
         monkeypatch.setattr(distdet.verify, "_transfer_matrix", lambda k, s: _perturb(_transfer_matrix(k, s), *entry))
-        assert not congruence_check_theta(k, s)
-        assert not congruence_check_theta_prime(k, s)
+        assert theta_congruence_checks(k, s) == (False, False)
 
     @pytest.mark.parametrize("k, s", [(2, 2), (3, 4)])
-    def test_product_check_rejects_perturbed_target(self, k, s):
-        dh = distance_matrix(labeled_theta(k, s))
-        dg = distance_matrix(labeled_theta_shifted(k, s))
-        n_mat = _build_transport(dg, dh, k, s)
-        assert _is_congruence(n_mat, dh, dg)
-        size = len(dg)
+    def test_transport_determinant_checked(self, monkeypatch, k, s):
+        # N D(H) N^T = D(G) with det D(H) = det D(G) != 0 already forces
+        # det N = +-1, so only a kernel that reports det N = 2 can show that
+        # the determinant is checked and not taken on trust
+        monkeypatch.setattr(distdet.verify, "bareiss_detcof", lambda m: DetCof(2 * bareiss_detcof(m).det, 0))
+        assert theta_congruence_checks(k, s) == (False, False)
+
+    @pytest.mark.parametrize("k, s", [(2, 2), (3, 4)])
+    def test_unimodular_wrong_transport_rejected(self, monkeypatch, k, s):
+        # det N = 1 but N = I does not transport D(H) to D(G): both products reject
+        monkeypatch.setattr(distdet.verify, "_build_transport", lambda dg, dh, k, s: identity(len(dg)))
+        assert theta_congruence_checks(k, s) == (False, False)
+
+    @pytest.mark.parametrize("k, s", [(2, 2), (3, 4)])
+    def test_product_check_rejects_perturbed_target(self, monkeypatch, k, s):
+        # a corrupted target D(G') inside the core from which N is built
+        target = labeled_theta(k + 1, s - 1, pendant=True)
+        size = 2 * (k + s)
+        assert theta_congruence_checks(k, s) == (True, True)
         for i, j in [(0, 1), (size - 1, 0), (k + s, k + s - 1), (1, size - 2)]:
-            assert not _is_congruence(n_mat, dh, _perturb(dg, i, j))
+            _perturb_graph(monkeypatch, target, i, j)
+            assert theta_congruence_checks(k, s) == (False, False), (i, j)
+
+    @pytest.mark.parametrize(
+        "which, k, s, entry",
+        [("H", 2, 2, (0, 1)), ("H", 3, 4, (9, 2)), ("G", 2, 2, (0, 1)), ("G", 3, 4, (7, 6)), ("G", 4, 3, (13, 0))],
+    )
+    def test_plain_matrix_perturbed_alone(self, monkeypatch, which, k, s, entry):
+        # the plain matrices are compared with the pendant cores and with the
+        # product's core block; the pendant verdict does not read them
+        target = labeled_theta(k, s) if which == "H" else labeled_theta(k + 1, s - 1)
+        _perturb_graph(monkeypatch, target, *entry)
+        assert theta_congruence_checks(k, s) == (False, True)
 
     @pytest.mark.parametrize("k, s", [(2, 2), (3, 4)])
     def test_pendant_check_rejects_perturbed_pendant_row(self, monkeypatch, k, s):
         # the pendant row lies outside the cores that N is built from, so only
-        # the bordered product N D(H) N^T = D(G) can catch it
-        shifted = labeled_theta_shifted(k, s, pendant=True)
-        last = 2 * (k + s)
-
-        def perturbed_distances(g):
-            d = distance_matrix(g)
-            return _perturb(d, last, 0) if g == shifted else d
-
-        monkeypatch.setattr(distdet.verify, "distance_matrix", perturbed_distances)
-        assert congruence_check_theta(k, s)
-        assert not congruence_check_theta_prime(k, s)
+        # the bordered product N D(H') N^T = D(G') can catch it
+        _perturb_graph(monkeypatch, labeled_theta(k + 1, s - 1, pendant=True), 2 * (k + s), 0)
+        assert theta_congruence_checks(k, s) == (True, False)
 
 
 def test_identity_families_stay_fast():
-    # every identity family over the ranges `verify` runs; the integer forms
-    # take about 0.15 s on a shared 2-core x86-64 machine, rational
+    # every identity family over the ranges `verify` runs; the integer forms,
+    # each proved once, take about 0.09 s on a shared 2-core x86-64 machine, rational
     # Gauss-Jordan inverses took 1.2-1.5 s there, so the bound catches their return
     pairs = [(k, s) for k in CONGRUENCE_RANGE for s in CONGRUENCE_RANGE]
     start = time.perf_counter()
-    assert all(cycle_inverse_identity(k) for k in range(1, INVERSE_K_MAX + 1))
-    assert all(scalar_identity_checks(k) for k in range(1, INVERSE_K_MAX + 1))
-    assert all(congruence_check_theta(k, s) for k, s in pairs)
-    assert all(congruence_check_theta_prime(k, s) for k, s in pairs)
+    assert all(cycle_inverse_checks(k) == (True, True) for k in range(1, INVERSE_K_MAX + 1))
+    assert all(theta_congruence_checks(k, s) == (True, True) for k, s in pairs)
     assert time.perf_counter() - start < 1.0
 
 
