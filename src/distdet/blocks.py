@@ -1,9 +1,11 @@
 """Biconnected decomposition and block classification.
 
 The blocks (biconnected components) of a connected graph partition its edge
-set; cut vertices are exactly the vertices shared by two or more blocks. The
-closed forms downstream only cover blocks that are single edges, cycles, or
-theta graphs, so classification flags anything else as unsupported.
+set; cut vertices are exactly the vertices shared by two or more blocks. A
+block is the frozenset of its edges (u, v) with u < v, the same type as
+Graph.edges. The closed forms downstream only cover blocks that are single
+edges, cycles, or theta graphs, so classification flags anything else as
+unsupported.
 """
 
 from __future__ import annotations
@@ -15,20 +17,6 @@ from typing import Iterable, Union
 
 from .graphs import DisconnectedGraphError, Graph, check_theta_triple
 from .linalg import DetCof
-
-
-@dataclass(frozen=True)
-class Block:
-    vertices: frozenset[int]
-    edges: frozenset[tuple[int, int]]
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
 
 
 @dataclass(frozen=True)
@@ -56,7 +44,7 @@ class Unsupported:
 BlockKind = Union[Edge, Cycle, Theta, Unsupported]
 
 
-def biconnected_components(g: Graph) -> list[Block]:
+def biconnected_components(g: Graph) -> list[frozenset[tuple[int, int]]]:
     """Blocks of a connected graph, one iterative lowpoint DFS.
 
     Tree and back edges are pushed on an edge stack; whenever a child's
@@ -69,13 +57,11 @@ def biconnected_components(g: Graph) -> list[Block]:
     if g.n > g.edge_count + 1:
         # too few edges to span n vertices; refused before anything of size n is allocated
         raise DisconnectedGraphError("block decomposition needs a connected graph")
-    if g.n <= 1:
-        return []
     adj = g.adjacency()
     disc = [-1] * g.n
     low = [0] * g.n
     edge_stack: list[tuple[int, int]] = []
-    blocks: list[Block] = []
+    blocks: list[frozenset[tuple[int, int]]] = []
     disc[0] = low[0] = 0
     timer = 1
     # one frame per vertex on the DFS path: (v, parent, neighbor iterator,
@@ -100,25 +86,27 @@ def biconnected_components(g: Graph) -> list[Block]:
                 if low[v] < low[parent]:
                     low[parent] = low[v]
                 if low[v] >= disc[parent]:
-                    edges = frozenset(edge_stack[start:])
+                    blocks.append(frozenset(edge_stack[start:]))
                     del edge_stack[start:]
-                    blocks.append(Block(frozenset(chain.from_iterable(edges)), edges))
     if timer < g.n:
         raise DisconnectedGraphError("block decomposition needs a connected graph")
     assert not edge_stack
     return blocks
 
 
-def classify_block(b: Block) -> BlockKind:
+def classify_block(b: frozenset[tuple[int, int]]) -> BlockKind:
     """Edge, Cycle, or Theta; anything else is Unsupported.
 
-    Within a block the theta shape is forced by the counts alone: |E|=|V|+1
-    with two degree-3 vertices and the rest degree 2.
+    A one-edge block is an Edge without counting anything; otherwise the
+    vertices are the keys of the degree count. Within a block the theta shape
+    is forced by the counts alone: |E|=|V|+1 with two degree-3 vertices and
+    the rest degree 2.
     """
-    nv, ne = b.vertex_count, b.edge_count
-    if nv == 2 and ne == 1:
+    ne = len(b)
+    if ne == 1:
         return Edge()
-    deg = Counter(chain.from_iterable(b.edges))
+    deg = Counter(chain.from_iterable(b))
+    nv = len(deg)
     if ne == nv and nv >= 3 and all(d == 2 for d in deg.values()):
         return Cycle(nv)
     if ne == nv + 1:
@@ -128,12 +116,12 @@ def classify_block(b: Block) -> BlockKind:
     return Unsupported(f"{nv} vertices, {ne} edges, degrees {sorted(deg.values())}")
 
 
-def theta_params(b: Block) -> tuple[int, int, int]:
+def theta_params(b: frozenset[tuple[int, int]]) -> tuple[int, int, int]:
     """Path lengths (l, p, q) of a theta block, sorted ascending."""
-    adj: dict[int, list[int]] = {v: [] for v in b.vertices}
-    for u, v in b.edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj: dict[int, list[int]] = {}
+    for u, v in b:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
     branch = sorted(v for v in adj if len(adj[v]) == 3)
     if len(branch) != 2:
         raise ValueError("block is not a theta graph")
@@ -149,7 +137,7 @@ def theta_params(b: Block) -> tuple[int, int, int]:
             steps += 1
         lengths.append(steps)
     triple = check_theta_triple(*lengths)
-    assert sum(triple) == b.edge_count
+    assert sum(triple) == len(b)
     return triple
 
 
@@ -170,7 +158,7 @@ def block_row(kind: BlockKind, value: DetCof | None) -> dict:
     return {"kind": kind_label(kind), "det": det, "cof": cof}
 
 
-def classify_graph(g: Graph) -> list[tuple[Block, BlockKind]]:
+def classify_graph(g: Graph) -> list[tuple[frozenset[tuple[int, int]], BlockKind]]:
     """Every block with its classification, unsupported ones included."""
     return [(b, classify_block(b)) for b in biconnected_components(g)]
 
@@ -240,7 +228,7 @@ def census(kinds: Iterable[BlockKind]) -> BlockInventory:
     return BlockInventory(edge_blocks, tuple(sorted(cycles)), tuple(sorted(thetas)))
 
 
-def block_subgraph(b: Block) -> Graph:
+def block_subgraph(b: frozenset[tuple[int, int]]) -> Graph:
     """A block as a standalone graph, vertices relabeled to 0..k-1 in sorted order."""
-    order = {v: i for i, v in enumerate(sorted(b.vertices))}
-    return Graph.from_edges(len(order), [(order[u], order[v]) for u, v in b.edges])
+    order = {v: i for i, v in enumerate(sorted(set(chain.from_iterable(b))))}
+    return Graph.from_edges(len(order), [(order[u], order[v]) for u, v in b])

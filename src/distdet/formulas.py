@@ -20,7 +20,6 @@ from math import prod
 from typing import Iterable, Optional
 
 from .blocks import (
-    Block,
     BlockInventory,
     BlockKind,
     Cycle,
@@ -35,23 +34,25 @@ from .blocks import (
 from .graphs import Graph, check_theta_triple, distance_matrix
 from .linalg import DetCof, bareiss_detcof
 
-# Largest unsupported block the block oracle takes on, so that no accepted
-# input runs for much more than 10 s. The bordered Bareiss pass grows as about
-# b^3.3; at 430 vertices it took 9.8 s on a cycle with two chords and 10.7 s on
-# a ladder (shared 2-core x86-64 machine, Python 3.11).
+# The block oracle takes on unsupported blocks of b_i vertices only while the sum
+# of b_i^3 stays within MAX_ORACLE_BLOCK^3, so that no accepted input runs for
+# much more than 10 s in all. The bordered Bareiss pass grows as about b^3.3; at
+# 430 vertices it took 9.8 s on a cycle with two chords and 10.7 s on a ladder
+# (shared 2-core x86-64 machine, Python 3.11).
 MAX_ORACLE_BLOCK = 430
 
 
 class BlockTooLargeError(Exception):
-    """An unsupported block above MAX_ORACLE_BLOCK vertices: computing it
-    would take too long, so det_cof_closed refuses the graph."""
+    """Unsupported blocks over the block oracle budget: computing them would
+    take too long, so det_cof_closed refuses the graph. vertex_counts holds
+    the vertex count of each unsupported block, in block order."""
 
-    def __init__(self, block: Block):
+    def __init__(self, vertex_counts: tuple[int, ...]):
         super().__init__(
-            f"unsupported block of {block.vertex_count} vertices and {block.edge_count} edges is above "
-            f"the block oracle limit of {MAX_ORACLE_BLOCK} vertices"
+            f"{len(vertex_counts)} unsupported block(s) of {sum(vertex_counts)} vertices in all are over "
+            f"the block oracle budget, the cost of one block at the limit of {MAX_ORACLE_BLOCK} vertices"
         )
-        self.block = block
+        self.vertex_counts = vertex_counts
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,7 @@ def block_detcof(kind: BlockKind) -> DetCof:
     raise ValueError(f"no closed form for {kind!r}")
 
 
-def det_cof_closed(g: Graph, classified: Optional[list[tuple[Block, BlockKind]]] = None) -> FormulaResult:
+def det_cof_closed(g: Graph, classified: Optional[list[tuple[frozenset[tuple[int, int]], BlockKind]]] = None) -> FormulaResult:
     """(det, cof) of a connected graph from one block decomposition.
 
     `classified` is classify_graph(g), for a caller that holds it already;
@@ -194,17 +195,17 @@ def det_cof_closed(g: Graph, classified: Optional[list[tuple[Block, BlockKind]]]
     block's own distance matrix. The block values compose over the block
     tree. The direct census formula over the supported blocks is evaluated
     independently and must agree with their composition; a disagreement
-    would mean a bug and raises ArithmeticError. An unsupported block of more
-    than MAX_ORACLE_BLOCK vertices raises BlockTooLargeError before any
-    matrix is built.
+    would mean a bug and raises ArithmeticError. Unsupported blocks of b_i
+    vertices with sum b_i^3 above MAX_ORACLE_BLOCK^3 raise BlockTooLargeError
+    before any matrix is built.
     """
     if classified is None:
         classified = classify_graph(g)
     if not classified:
         return FormulaResult(0, 0, "single vertex")
-    for block, kind in classified:
-        if isinstance(kind, Unsupported) and block.vertex_count > MAX_ORACLE_BLOCK:
-            raise BlockTooLargeError(block)
+    sizes = tuple(len({v for e in block for v in e}) for block, kind in classified if isinstance(kind, Unsupported))
+    if sum(b**3 for b in sizes) > MAX_ORACLE_BLOCK**3:
+        raise BlockTooLargeError(sizes)
     blocks = tuple(
         (kind, bareiss_detcof(distance_matrix(block_subgraph(block))) if isinstance(kind, Unsupported) else block_detcof(kind))
         for block, kind in classified

@@ -34,10 +34,10 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        """The one structural check of a graph: every edge is a pair u < v of
-        vertices in range, so there are no loops."""
-        if self.n < 0:
-            raise ValueError("vertex count must be non-negative")
+        """The one structural check of a graph: at least one vertex, and every
+        edge is a pair u < v of vertices in range, so there are no loops."""
+        if self.n < 1:
+            raise ValueError("a graph needs at least one vertex")
         for u, v in self.edges:
             if not 0 <= u < v < self.n:
                 if u == v:
@@ -151,8 +151,6 @@ def distance_matrix(g: Graph) -> IntMatrix:
 
 
 def path_graph(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("path needs at least one vertex")
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 

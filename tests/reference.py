@@ -16,7 +16,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
-from distdet.blocks import Block, BlockKind, Cycle, Edge, Theta, Unsupported, theta_params
+from distdet.blocks import BlockKind, Cycle, Edge, Theta, Unsupported, theta_params
 from distdet.graphs import DisconnectedGraphError, Graph, bfs_distances
 
 # cost guard for the factorial-time cross-check routines
@@ -132,7 +132,7 @@ def is_connected(g: Graph) -> bool:
     return min(bfs_distances(g, 0)) >= 0
 
 
-def biconnected_components(g: Graph) -> list[Block]:
+def biconnected_components(g: Graph) -> list[frozenset[tuple[int, int]]]:
     """Blocks of a connected graph: a BFS connectivity check, then the lowpoint
     DFS with one pop per edge off the edge stack."""
     if not is_connected(g):
@@ -143,7 +143,7 @@ def biconnected_components(g: Graph) -> list[Block]:
     disc = [-1] * g.n
     low = [0] * g.n
     edge_stack: list[tuple[int, int]] = []
-    blocks: list[Block] = []
+    blocks: list[frozenset[tuple[int, int]]] = []
     timer = 0
     disc[0] = low[0] = timer
     timer += 1
@@ -180,23 +180,21 @@ def biconnected_components(g: Graph) -> list[Block]:
     return blocks
 
 
-def _make_block(component: list[tuple[int, int]]) -> Block:
-    edges = frozenset((u, v) if u < v else (v, u) for u, v in component)
-    vertices = frozenset(v for e in edges for v in e)
-    return Block(vertices, edges)
+def _make_block(component: list[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+    return frozenset((u, v) if u < v else (v, u) for u, v in component)
 
 
-def _block_degrees(b: Block) -> Counter:
+def _block_degrees(b: frozenset[tuple[int, int]]) -> Counter:
     deg: Counter = Counter()
-    for u, v in b.edges:
+    for u, v in b:
         deg[u] += 1
         deg[v] += 1
     return deg
 
 
-def classify_block(b: Block) -> BlockKind:
+def classify_block(b: frozenset[tuple[int, int]]) -> BlockKind:
     """Edge, Cycle or Theta from the block's counts and explicit degrees."""
-    nv, ne = b.vertex_count, b.edge_count
+    nv, ne = len({v for e in b for v in e}), len(b)
     if nv == 2 and ne == 1:
         return Edge()
     deg = _block_degrees(b)
@@ -209,6 +207,6 @@ def classify_block(b: Block) -> BlockKind:
     return Unsupported(f"{nv} vertices, {ne} edges, degrees {sorted(deg.values())}")
 
 
-def classify_graph(g: Graph) -> list[tuple[Block, BlockKind]]:
+def classify_graph(g: Graph) -> list[tuple[frozenset[tuple[int, int]], BlockKind]]:
     """Every block with its classification, by the two-pass decomposition."""
     return [(b, classify_block(b)) for b in biconnected_components(g)]

@@ -1,12 +1,12 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distdet.blocks import (
-    Block,
     Cycle,
     Edge,
     Theta,
@@ -39,6 +39,11 @@ def complete_graph(n):
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def vertices(block):
+    """The vertex set of a block, read off its edges."""
+    return frozenset(v for e in block for v in e)
+
+
 def census_of(g):
     """The census that det_cof_closed takes of a graph's blocks."""
     return census(kind for _, kind in classify_graph(g))
@@ -48,17 +53,17 @@ class TestDecomposition:
     def test_path_splits_into_edges(self):
         blocks = biconnected_components(path_graph(4))
         assert len(blocks) == 3
-        assert all(b.vertex_count == 2 and b.edge_count == 1 for b in blocks)
+        assert all(len(vertices(b)) == 2 and len(b) == 1 for b in blocks)
 
     def test_cycle_is_one_block(self):
         blocks = biconnected_components(cycle_graph(5))
         assert len(blocks) == 1
-        assert blocks[0].vertices == frozenset(range(5))
+        assert vertices(blocks[0]) == frozenset(range(5))
 
     def test_triangle_with_pendant(self):
         g = attach_path(cycle_graph(3), 0, 1)
         blocks = biconnected_components(g)
-        assert sorted(b.edge_count for b in blocks) == [1, 3]
+        assert sorted(len(b) for b in blocks) == [1, 3]
 
     def test_single_vertex_has_no_blocks(self):
         assert biconnected_components(Graph(1, frozenset())) == []
@@ -71,7 +76,7 @@ class TestDecomposition:
         for seed in range(8):
             g = random_block_graph(BlockRequest(edges=3, cycles=(3, 6), thetas=((1, 2, 4),)), seed)
             blocks = biconnected_components(g)
-            seen = [e for b in blocks for e in b.edges]
+            seen = [e for b in blocks for e in b]
             assert len(seen) == len(set(seen)) == g.edge_count
             assert set(seen) == set(g.edges)
 
@@ -93,6 +98,8 @@ def connected_graphs(draw):
 
 
 def is_cut_vertex(g, v):
+    if g.n == 1:
+        return False  # removing the only vertex leaves no graph to disconnect
     rest = [w for w in range(g.n) if w != v]
     order = {w: i for i, w in enumerate(rest)}
     kept = [(order[a], order[b]) for a, b in g.edges if v not in (a, b)]
@@ -104,9 +111,9 @@ class TestDecompositionInvariants:
     @given(connected_graphs())
     def test_blocks_partition_edges_and_share_cut_vertices(self, g):
         blocks = biconnected_components(g)
-        assert sum(b.edge_count for b in blocks) == g.edge_count
-        assert frozenset().union(*(b.edges for b in blocks)) == g.edges
-        shared = {v for v in range(g.n) if sum(v in b.vertices for b in blocks) >= 2}
+        assert sum(len(b) for b in blocks) == g.edge_count
+        assert frozenset().union(*blocks) == g.edges
+        shared = {v for v in range(g.n) if sum(v in vertices(b) for b in blocks) >= 2}
         assert shared == {v for v in range(g.n) if is_cut_vertex(g, v)}
 
 
@@ -170,6 +177,20 @@ def glued_end_to_end(pieces):
     return Graph.from_edges(offset + 1, edges)
 
 
+class TestMemory:
+    def test_blocks_kept_per_block(self):
+        # one frozenset of edges per block, not a record of two sets
+        g = path_graph(20_000)
+        tracemalloc.start()
+        try:
+            blocks = biconnected_components(g)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(blocks) == 19_999
+        assert kept / len(blocks) < 400, f"{kept / len(blocks):.0f} bytes per block"
+
+
 class TestScaling:
     def test_two_hundred_thousand_vertices(self):
         # a quadratic edge-stack scan or a recursive DFS would not finish in time
@@ -204,15 +225,17 @@ class TestClassification:
         (b,) = biconnected_components(complete_graph(4))
         kind = classify_block(b)
         assert isinstance(kind, Unsupported)
+        assert kind.reason == "4 vertices, 6 edges, degrees [3, 3, 3, 3]"
         assert "unsupported" in kind_label(kind)
 
     def test_wrong_degree_pattern_unsupported(self):
         # |E| = |V| + 1 with a degree-4 vertex: two triangles sharing a vertex.
         # A real decomposition splits it at the cut vertex, so feed
-        # classify_block a hand-made Block to exercise the degree guard.
+        # classify_block the whole edge set to exercise the degree guard.
         bowtie = frozenset({(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)})
-        kind = classify_block(Block(frozenset(range(5)), bowtie))
+        kind = classify_block(bowtie)
         assert isinstance(kind, Unsupported)
+        assert kind.reason == "5 vertices, 6 edges, degrees [2, 2, 2, 2, 4]"
         g = Graph.from_edges(5, list(bowtie))
         assert len(biconnected_components(g)) == 2
 

@@ -134,6 +134,24 @@ class TestDet:
         err = capsys.readouterr().err
         assert err.startswith("refused: ") and f"limit of {MAX_ORACLE_BLOCK} vertices" in err
 
+    def test_unsupported_blocks_over_budget_refused(self, tmp_path, capsys):
+        # four 300-vertex ladders joined by bridges: each block is within the
+        # limit, but 4 * 300^3 is over the budget of 430^3
+        edges = []
+        for offset in range(0, 1200, 300):
+            edges += [(offset + i, offset + i + 1) for i in range(0, 300, 2)]
+            edges += [(offset + i, offset + i + 2) for i in range(298)]
+            if offset:
+                edges.append((offset - 1, offset))
+        path = tmp_path / "ladders.txt"
+        path.write_text(format_edge_list(Graph.from_edges(1200, edges)))
+        start = time.perf_counter()
+        assert main(["det", str(path)]) == 3
+        assert time.perf_counter() - start < 10
+        err = capsys.readouterr().err
+        assert err.startswith("refused: 4 unsupported block(s) of 1200 vertices")
+        assert f"limit of {MAX_ORACLE_BLOCK} vertices" in err
+
     def test_internal_inconsistency_exit_code(self, c5_file, capsys, monkeypatch):
         monkeypatch.setattr("distdet.formulas.compose_ghh", lambda blocks: DetCof(1, 1))
         assert main(["det", c5_file]) == 4

@@ -4,6 +4,7 @@ import time
 import pytest
 
 import distdet.formulas
+from distdet.cli import main
 from distdet.formulas import (
     BlockTooLargeError,
     cactus_det,
@@ -22,6 +23,7 @@ from distdet.graphs import (
     attach_path,
     build_theta,
     cycle_graph,
+    format_edge_list,
     path_graph,
     random_block_graph,
     triangle_chain,
@@ -287,4 +289,31 @@ class TestBlockOracle:
         monkeypatch.setattr(distdet.formulas, "distance_matrix", no_matrix)
         with pytest.raises(BlockTooLargeError) as info:
             det_cof_closed(glue_blocks(k4, [chorded_cycle_block(5)], random.Random(0)))
-        assert info.value.block.vertex_count == 5
+        assert info.value.vertex_counts == (5, 4)  # in block order: the DFS closes the 5-cycle block first
+
+    def test_one_budget_for_all_unsupported_blocks(self, monkeypatch, tmp_path, capsys):
+        # budget 6^3 = 216: two K4 blocks (2 * 4^3 = 128) fit, two K5 blocks
+        # (2 * 5^3 = 250) do not, though each of them is within 6 vertices
+        original = distdet.formulas.bareiss_detcof
+        eliminations = []
+
+        def counted(a):
+            eliminations.append(len(a))
+            return original(a)
+
+        monkeypatch.setattr(distdet.formulas, "MAX_ORACLE_BLOCK", 6)
+        monkeypatch.setattr(distdet.formulas, "bareiss_detcof", counted)
+        two_k4 = glue_blocks(path_graph(2), [complete_block(4), complete_block(4)], random.Random(1))
+        assert det_cof_closed(two_k4).detcof == det_cof_oracle(two_k4)
+        assert eliminations == [4, 4]
+        eliminations.clear()
+        two_k5 = glue_blocks(path_graph(2), [complete_block(5), complete_block(5)], random.Random(1))
+        with pytest.raises(BlockTooLargeError) as info:
+            det_cof_closed(two_k5)
+        assert info.value.vertex_counts == (5, 5)
+        path = tmp_path / "two_k5.txt"
+        path.write_text(format_edge_list(two_k5))
+        assert main(["det", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "2 unsupported block(s) of 10 vertices" in err and "limit of 6 vertices" in err
+        assert eliminations == []

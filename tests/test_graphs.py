@@ -47,6 +47,15 @@ class TestGraphValue:
         with pytest.raises(ValueError, match=r"edge \(1, 0\) must be stored as \(0, 1\)"):
             Graph(2, frozenset({(1, 0)}))
 
+    def test_rejects_empty_graph(self):
+        # det_cof_oracle has no 0 x 0 matrix to value, so no graph may lack vertices
+        with pytest.raises(ValueError, match="a graph needs at least one vertex"):
+            Graph(0, frozenset())
+        with pytest.raises(ValueError, match="a graph needs at least one vertex"):
+            Graph.from_edges(0, [])
+        with pytest.raises(ValueError, match="a graph needs at least one vertex"):
+            path_graph(0)
+
     def test_adjacency_sorted(self):
         g = Graph.from_edges(4, [(0, 3), (0, 1), (1, 3)])
         assert g.adjacency() == [[1, 3], [0, 3], [], [0, 1]]

@@ -64,7 +64,7 @@ class TestOracle:
 def test_block_subgraph_relabels():
     g = attach_path(cycle_graph(3), 2, 2)
     blocks = biconnected_components(g)
-    cycle_block = next(b for b in blocks if b.edge_count == 3)
+    cycle_block = next(b for b in blocks if len(b) == 3)
     sub = block_subgraph(cycle_block)
     assert sub == cycle_graph(3)
 
