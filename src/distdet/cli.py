@@ -12,6 +12,7 @@ large for the block oracle), 4 internal inconsistency.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import statistics
 import sys
@@ -198,7 +199,12 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first main call and reused for
+    the rest of the process, never at import. parse_args keeps no state
+    between calls, and the cmd_* functions look up what they call at call
+    time."""
     parser = argparse.ArgumentParser(
         prog="distdet",
         description="Exact distance-matrix determinants for graphs whose blocks are edges, cycles, or theta graphs.",

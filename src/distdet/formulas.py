@@ -34,18 +34,19 @@ from .blocks import (
 from .graphs import Graph, check_theta_triple, distance_matrix
 from .linalg import DetCof, bareiss_detcof
 
-# The block oracle takes on unsupported blocks of b_i vertices only while the sum
-# of b_i^3 stays within MAX_ORACLE_BLOCK^3, so that no accepted input runs for
-# much more than 10 s in all. The bordered Bareiss pass grows as about b^3.3; at
-# 430 vertices it took 9.8 s on a cycle with two chords and 10.7 s on a ladder
-# (shared 2-core x86-64 machine, Python 3.11).
+# The block oracle takes on distinct unsupported blocks of b_i vertices only
+# while the sum of b_i^3 stays within MAX_ORACLE_BLOCK^3, so that no accepted
+# input runs for much more than 10 s in all. The bordered Bareiss pass grows as
+# about b^3.3; at 430 vertices it took 9.8 s on a cycle with two chords and
+# 10.7 s on a ladder (shared 2-core x86-64 machine, Python 3.11).
 MAX_ORACLE_BLOCK = 430
 
 
 class BlockTooLargeError(Exception):
     """Unsupported blocks over the block oracle budget: computing them would
     take too long, so det_cof_closed refuses the graph. vertex_counts holds
-    the vertex count of each unsupported block, in block order."""
+    the vertex count of each distinct unsupported block, in order of first
+    appearance."""
 
     def __init__(self, vertex_counts: tuple[int, ...]):
         super().__init__(
@@ -192,22 +193,27 @@ def det_cof_closed(g: Graph, classified: Optional[list[tuple[frozenset[tuple[int
 
     Edges, cycles and theta blocks take their closed forms; any other block
     is valued by the block oracle, one bordered Bareiss pass over that
-    block's own distance matrix. The block values compose over the block
-    tree. The direct census formula over the supported blocks is evaluated
-    independently and must agree with their composition; a disagreement
-    would mean a bug and raises ArithmeticError. Unsupported blocks of b_i
-    vertices with sum b_i^3 above MAX_ORACLE_BLOCK^3 raise BlockTooLargeError
-    before any matrix is built.
+    block's own distance matrix, once for all copies of one block. The block
+    values compose over the block tree. The direct census formula over the
+    supported blocks is evaluated independently and must agree with their
+    composition; a disagreement would mean a bug and raises ArithmeticError.
+    Distinct unsupported blocks of b_i vertices with sum b_i^3 above
+    MAX_ORACLE_BLOCK^3 raise BlockTooLargeError before any matrix is built.
     """
     if classified is None:
         classified = classify_graph(g)
     if not classified:
         return FormulaResult(0, 0, "single vertex")
-    sizes = tuple(len({v for e in block for v in e}) for block, kind in classified if isinstance(kind, Unsupported))
+    # equal relabelled subgraphs are identical graphs, so each distinct one
+    # is budgeted and eliminated once, in order of first appearance
+    subgraphs = {block: block_subgraph(block) for block, kind in classified if isinstance(kind, Unsupported)}
+    distinct = dict.fromkeys(subgraphs.values())
+    sizes = tuple(h.n for h in distinct)
     if sum(b**3 for b in sizes) > MAX_ORACLE_BLOCK**3:
         raise BlockTooLargeError(sizes)
+    oracle_values = {h: bareiss_detcof(distance_matrix(h)) for h in distinct}
     blocks = tuple(
-        (kind, bareiss_detcof(distance_matrix(block_subgraph(block))) if isinstance(kind, Unsupported) else block_detcof(kind))
+        (kind, oracle_values[subgraphs[block]] if isinstance(kind, Unsupported) else block_detcof(kind))
         for block, kind in classified
     )
     closed = [value for kind, value in blocks if not isinstance(kind, Unsupported)]

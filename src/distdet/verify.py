@@ -186,7 +186,7 @@ class VerifyReport:
     blocks: list[dict]
     oracle: DetCof
     ghh: Optional[DetCof]
-    closed: DetCof
+    closed: Optional[DetCof]
     passed: bool
     note: str
     micros: int
@@ -213,7 +213,10 @@ def verify_graph(g: Graph) -> VerifyReport:
 
     The graph is decomposed once; its blocks feed both the per-block oracles
     and the closed form, and the whole-graph oracle, which never decomposes,
-    guards that decomposition. Blocks with no closed form are valued inside
+    guards that decomposition. Each block's value in the closed form must
+    equal that block's own oracle value, and an ArithmeticError from the
+    closed form's cross-check fails the graph with closed None; the note
+    names either failure. Blocks with no closed form are valued inside
     det_cof_closed by its own block oracle; the composition holds for
     arbitrary blocks. For K1 only the determinant is compared: the literal
     cofactor sum of the 1x1 zero matrix is 1 while the block convention
@@ -229,14 +232,24 @@ def verify_graph(g: Graph) -> VerifyReport:
         rows.append(block_row(kind, value))
         block_values.append(value)
     ghh = compose_ghh(block_values) if block_values else None
-    closed = det_cof_closed(g, classified).detcof
-
-    if g.n == 1:
-        passed = oracle.det == 0 and closed.det == 0
-        note = "single vertex: determinant compared, cofactor convention differs"
+    try:
+        result = det_cof_closed(g, classified)
+    except ArithmeticError as exc:
+        # the census formula and the block composition disagree
+        closed, passed, note = None, False, str(exc)
     else:
-        passed = ghh == oracle == closed
-        note = ""
+        closed = result.detcof
+        if g.n == 1:
+            passed = oracle.det == 0 and closed.det == 0
+            note = "single vertex: determinant compared, cofactor convention differs"
+        else:
+            mismatches = [
+                f"block {i} ({row['kind']}): closed form ({value.det}, {value.cof}) != block oracle ({own.det}, {own.cof})"
+                for i, ((_, value), own, row) in enumerate(zip(result.blocks, block_values, rows))
+                if value != own
+            ]
+            passed = not mismatches and ghh == oracle == closed
+            note = "; ".join(mismatches)
     micros = (time.perf_counter_ns() - start) // 1000
     return VerifyReport(
         n=g.n,

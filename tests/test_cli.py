@@ -1,15 +1,34 @@
+import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import distdet.cli
+import distdet.formulas
 from distdet.cli import main
-from distdet.formulas import MAX_ORACLE_BLOCK
+from distdet.formulas import MAX_ORACLE_BLOCK, compose_ghh
 from distdet.graphs import BlockRequest, Graph, cycle_graph, format_edge_list, parse_edge_list, random_block_graph
 from distdet.linalg import DetCof
+from distdet.verify import det_cof_oracle
+
+
+def ladder(n):
+    """Two rails of n / 2 vertices (the even and the odd ones) and their rungs."""
+    return [(i, i + 1) for i in range(0, n, 2)] + [(i, i + 2) for i in range(n - 2)]
+
+
+def chorded_cycle(n):
+    """A cycle with two crossing chords: one block, neither cycle nor theta."""
+    return [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2), (1, n // 2 + 1)]
 
 
 @pytest.fixture
@@ -135,22 +154,48 @@ class TestDet:
         assert err.startswith("refused: ") and f"limit of {MAX_ORACLE_BLOCK} vertices" in err
 
     def test_unsupported_blocks_over_budget_refused(self, tmp_path, capsys):
-        # four 300-vertex ladders joined by bridges: each block is within the
-        # limit, but 4 * 300^3 is over the budget of 430^3
-        edges = []
-        for offset in range(0, 1200, 300):
-            edges += [(offset + i, offset + i + 1) for i in range(0, 300, 2)]
-            edges += [(offset + i, offset + i + 2) for i in range(298)]
+        # four distinct blocks, cycles of 300 to 303 vertices with two chords,
+        # joined by bridges: each is within the limit, but the sum of their
+        # b^3 is over the budget of 430^3
+        edges, offset = [], 0
+        for size in range(300, 304):
+            edges += [(offset + u, offset + v) for u, v in chorded_cycle(size)]
             if offset:
                 edges.append((offset - 1, offset))
-        path = tmp_path / "ladders.txt"
-        path.write_text(format_edge_list(Graph.from_edges(1200, edges)))
+            offset += size
+        path = tmp_path / "chorded_cycles.txt"
+        path.write_text(format_edge_list(Graph.from_edges(offset, edges)))
         start = time.perf_counter()
         assert main(["det", str(path)]) == 3
         assert time.perf_counter() - start < 10
         err = capsys.readouterr().err
-        assert err.startswith("refused: 4 unsupported block(s) of 1200 vertices")
+        assert err.startswith("refused: 4 unsupported block(s) of 1206 vertices")
         assert f"limit of {MAX_ORACLE_BLOCK} vertices" in err
+
+    def test_copies_of_one_unsupported_block_take_one_elimination(self, tmp_path, capsys, monkeypatch):
+        # four copies of one 300-vertex ladder joined by bridges: the budget
+        # counts the ladder once, and the block oracle eliminates it once
+        original = distdet.formulas.bareiss_detcof
+        eliminations = []
+
+        def counted(a):
+            eliminations.append(len(a))
+            return original(a)
+
+        monkeypatch.setattr(distdet.formulas, "bareiss_detcof", counted)
+        edges = []
+        for offset in range(0, 1200, 300):
+            edges += [(offset + u, offset + v) for u, v in ladder(300)]
+            if offset:
+                edges.append((offset - 1, offset))
+        path = tmp_path / "ladders.txt"
+        path.write_text(format_edge_list(Graph.from_edges(1200, edges)))
+        assert main(["det", str(path), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert eliminations == [300]
+        one = det_cof_oracle(Graph.from_edges(300, ladder(300)))
+        assert (payload["det"], payload["cof"]) == compose_ghh([one] * 4 + [DetCof(-1, -2)] * 3)
+        assert "block oracle on 4 unsupported block(s)" in payload["provenance"]
 
     def test_internal_inconsistency_exit_code(self, c5_file, capsys, monkeypatch):
         monkeypatch.setattr("distdet.formulas.compose_ghh", lambda blocks: DetCof(1, 1))
@@ -278,3 +323,86 @@ class TestBench:
         assert main(["bench", "--max-n", str(MAX_ORACLE_BLOCK + 1), "--reps", "1"]) == 2
         assert time.perf_counter() - start < 1
         assert f"--max-n <= {MAX_ORACLE_BLOCK}" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_built_once_per_process(self, c5_file, k4_file, capsys):
+        distdet.cli._build_parser.cache_clear()
+        assert main(["det", c5_file]) == 0
+        assert main(["classify", k4_file]) == 0
+        assert main(["det", k4_file]) == 0
+        info = distdet.cli._build_parser.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+    def test_options_do_not_carry_over(self, c5_file, capsys):
+        assert main(["det", c5_file, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["det"] == 6
+        assert main(["det", c5_file]) == 0
+        assert capsys.readouterr().out == "det=6 cof=5\nprovenance: block census formula, cross-checked by block composition\nblocks:\n  cycle(5): det=6 cof=5\n"
+
+    def test_usage_error_leaves_the_parser_working(self, c5_file, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["det", "--bogus"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: distdet det ")
+        assert main(["det", c5_file]) == 0
+        assert capsys.readouterr().out.startswith("det=6 cof=5\n")
+
+    def test_import_builds_no_parser(self):
+        code = "import distdet.cli; print(distdet.cli._build_parser.cache_info().currsize)"
+        env = dict(os.environ, PYTHONPATH=str(Path(distdet.cli.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
+
+
+def _edge_list_line():
+    number = st.integers(-1, 7).map(str)
+    return st.one_of(
+        number,
+        st.tuples(number, number).map(" ".join),
+        st.sampled_from(["", "# comment", "  ", "0 1 2", "x y", "\ufeff3", "\x00"]),
+        st.text(max_size=6),
+    )
+
+
+@st.composite
+def _connected_edge_list(draw):
+    """A spanning tree on up to 7 vertices plus any further edges, in any order."""
+    n = draw(st.integers(2, 7))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    extra = draw(st.sets(st.tuples(st.integers(0, n - 2), st.integers(1, n - 1)).filter(lambda e: e[0] < e[1])))
+    edges = draw(st.permutations(sorted(tree | extra)))
+    return "\n".join([str(n)] + [f"{v} {u}" if draw(st.booleans()) else f"{u} {v}" for u, v in edges]) + "\n"
+
+
+edge_list_texts = st.one_of(
+    _connected_edge_list(),
+    st.tuples(st.integers(1, 7), st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=14)).map(
+        lambda t: "\n".join([str(t[0])] + [f"{u} {v}" for u, v in t[1]])
+    ),
+    st.tuples(st.lists(_edge_list_line(), max_size=10), st.sampled_from(["\n", "\r\n"])).map(lambda t: t[1].join(t[0])),
+    st.text(max_size=30),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_list_texts)
+def test_exit_contract_on_arbitrary_edge_lists(text):
+    """det and classify end in exit 0, 2 or 3 and never raise; an answer is the
+    whole-graph oracle's (only det for one vertex, by the block convention)."""
+    codes = []
+    for argv in (["det", "-", "--format", "json"], ["det", "-"], ["classify", "-"], ["classify", "-", "--format", "json"]):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(sys, "stdin", io.StringIO(text)), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        codes.append(code)
+        if argv[-1] == "json" and argv[0] == "det" and code == 0:
+            payload = json.loads(out.getvalue())
+            g = parse_edge_list(text)
+            oracle = det_cof_oracle(g)
+            assert payload["det"] == oracle.det
+            if g.n > 1:
+                assert payload["cof"] == oracle.cof
+    assert codes[0] == codes[1]

@@ -4,6 +4,7 @@ import time
 import pytest
 
 import distdet.formulas
+from distdet.blocks import Unsupported, classify_graph
 from distdet.cli import main
 from distdet.formulas import (
     BlockTooLargeError,
@@ -292,8 +293,9 @@ class TestBlockOracle:
         assert info.value.vertex_counts == (5, 4)  # in block order: the DFS closes the 5-cycle block first
 
     def test_one_budget_for_all_unsupported_blocks(self, monkeypatch, tmp_path, capsys):
-        # budget 6^3 = 216: two K4 blocks (2 * 4^3 = 128) fit, two K5 blocks
-        # (2 * 5^3 = 250) do not, though each of them is within 6 vertices
+        # budget 6^3 = 216: two copies of K4 cost one K4 (4^3 = 64) and fit;
+        # K5 and K5 minus an edge are two distinct blocks (2 * 5^3 = 250) and
+        # do not, though each of them is within 6 vertices
         original = distdet.formulas.bareiss_detcof
         eliminations = []
 
@@ -305,9 +307,10 @@ class TestBlockOracle:
         monkeypatch.setattr(distdet.formulas, "bareiss_detcof", counted)
         two_k4 = glue_blocks(path_graph(2), [complete_block(4), complete_block(4)], random.Random(1))
         assert det_cof_closed(two_k4).detcof == det_cof_oracle(two_k4)
-        assert eliminations == [4, 4]
+        assert eliminations == [4]
         eliminations.clear()
-        two_k5 = glue_blocks(path_graph(2), [complete_block(5), complete_block(5)], random.Random(1))
+        k5_minus_edge = (5, complete_block(5)[1][1:])
+        two_k5 = glue_blocks(path_graph(2), [complete_block(5), k5_minus_edge], random.Random(1))
         with pytest.raises(BlockTooLargeError) as info:
             det_cof_closed(two_k5)
         assert info.value.vertex_counts == (5, 5)
@@ -317,3 +320,28 @@ class TestBlockOracle:
         err = capsys.readouterr().err
         assert "2 unsupported block(s) of 10 vertices" in err and "limit of 6 vertices" in err
         assert eliminations == []
+
+    def test_budget_lists_distinct_blocks_in_order_of_first_appearance(self, monkeypatch):
+        monkeypatch.setattr(distdet.formulas, "MAX_ORACLE_BLOCK", 6)
+        pieces = [complete_block(4), chorded_cycle_block(6), complete_block(4), chorded_cycle_block(6)]
+        g = glue_blocks(path_graph(2), pieces, random.Random(2))
+        with pytest.raises(BlockTooLargeError) as info:
+            det_cof_closed(g)
+        order = [len({v for e in block for v in e}) for block, kind in classify_graph(g) if isinstance(kind, Unsupported)]
+        assert info.value.vertex_counts == tuple(dict.fromkeys(order)) and len(order) == 4
+
+    def test_copies_of_one_block_take_one_elimination(self, monkeypatch):
+        original = distdet.formulas.bareiss_detcof
+        eliminations = []
+
+        def counted(a):
+            eliminations.append(len(a))
+            return original(a)
+
+        monkeypatch.setattr(distdet.formulas, "bareiss_detcof", counted)
+        k4_chain = glue_blocks(Graph(1, frozenset()), [complete_block(4)] * 6, random.Random(5))
+        result = det_cof_closed(k4_chain)
+        assert eliminations == [4]
+        assert result.detcof == det_cof_oracle(k4_chain)
+        assert [value for _, value in result.blocks] == [DetCof(-3, -4)] * 6
+        assert result.provenance == "block oracle on 6 unsupported block(s), composed over the block tree"

@@ -4,8 +4,10 @@ import time
 
 import pytest
 
+import distdet.formulas
 import distdet.verify
 from distdet.graphs import (
+    BlockRequest,
     DisconnectedGraphError,
     Graph,
     attach_path,
@@ -16,6 +18,7 @@ from distdet.graphs import (
     path_graph,
     random_block_graph,
 )
+from distdet.blocks import theta_family
 from distdet.formulas import det_cof_closed
 from distdet.linalg import DetCof, bareiss_detcof, identity
 from distdet.cli import CONGRUENCE_RANGE, INVERSE_K_MAX, main
@@ -249,6 +252,30 @@ class TestVerifyGraph:
     def test_fault_injection_fails(self, flipped_closed_form):
         assert not verify_graph(cycle_graph(5)).passed
 
+    def test_wrong_block_row_fails_even_when_the_totals_agree(self, monkeypatch):
+        # with two even cycles every total is (0, 0) whatever their rows say,
+        # so only the per-block check sees a wrong even-cycle row
+        original = distdet.formulas.cycle_detcof
+        monkeypatch.setattr(distdet.formulas, "cycle_detcof", lambda n: DetCof(1, 0) if n % 2 == 0 else original(n))
+        g = random_block_graph(BlockRequest(edges=1, cycles=(4, 6)), seed=2)
+        report = verify_graph(g)
+        assert report.oracle == report.ghh == report.closed == DetCof(0, 0)
+        assert not report.passed
+        assert "closed form (1, 0) != block oracle (0, 0)" in report.note
+        assert "cycle(4)" in report.note and "cycle(6)" in report.note
+
+    def test_internal_inconsistency_is_a_failure_not_an_error(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(distdet.formulas, "compose_ghh", lambda blocks: DetCof(1, 1))
+        report = verify_graph(cycle_graph(5))
+        assert not report.passed and report.closed is None
+        assert report.note.startswith("census formula") and "disagrees with block composition" in report.note
+        assert report.to_json_dict()["closed"] is None
+        path = tmp_path / "report.jsonl"
+        assert main(["verify", "--count", "3", "--max-n", "12", "--report", str(path)]) == 1
+        assert capsys.readouterr().out.strip().endswith("FAIL")
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(rows) == 3 and not any(row["pass"] for row in rows)
+
     def test_json_dict_schema(self):
         report = verify_graph(path_graph(3))
         payload = report.to_json_dict()
@@ -292,3 +319,35 @@ def test_random_block_request_budget():
         assert 2 <= request.vertex_count() <= 30
         g = random_block_graph(request, rng.randrange(2**32))
         assert g.n == request.vertex_count()
+
+
+def _wrong_on(original, row):
+    """original with its determinant off by one exactly where row(*args) holds."""
+
+    def wrapped(*args):
+        value = original(*args)
+        return DetCof(value.det + 1, value.cof) if row(*args) else value
+
+    return wrapped
+
+
+# each row of README's closed-form table: the function that gives it, and
+# which of that function's arguments fall in the row
+CLOSED_FORM_ROWS = {
+    "edge": ("edge_detcof", lambda: True),
+    "odd cycle": ("cycle_detcof", lambda n: n % 2 == 1),
+    "even cycle": ("cycle_detcof", lambda n: n % 2 == 0),
+    "theta(1, p, q), p and q even": ("theta_detcof", lambda *t: theta_family(*t) == "one-even-even"),
+    "theta(2, 2, 2)": ("theta_detcof", lambda *t: theta_family(*t) == "two-two-two"),
+    "theta(2, 2, q), q odd": ("theta_detcof", lambda *t: theta_family(*t) == "two-two-odd"),
+    "any other theta": ("theta_detcof", lambda *t: theta_family(*t) == "zero"),
+}
+
+
+@pytest.mark.parametrize("row", list(CLOSED_FORM_ROWS))
+def test_default_verify_fails_on_any_wrong_table_row(row, monkeypatch, capsys):
+    name, in_row = CLOSED_FORM_ROWS[row]
+    monkeypatch.setattr(distdet.formulas, name, _wrong_on(getattr(distdet.formulas, name), in_row))
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert out.strip().endswith("FAIL") and "graphs: 200/200 passed" not in out
