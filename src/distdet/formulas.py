@@ -50,7 +50,7 @@ class BlockTooLargeError(Exception):
 
     def __init__(self, vertex_counts: tuple[int, ...]):
         super().__init__(
-            f"{len(vertex_counts)} unsupported block(s) of {sum(vertex_counts)} vertices in all are over "
+            f"{len(vertex_counts)} distinct unsupported block(s) of {sum(vertex_counts)} vertices in all are over "
             f"the block oracle budget, the cost of one block at the limit of {MAX_ORACLE_BLOCK} vertices"
         )
         self.vertex_counts = vertex_counts

@@ -7,6 +7,7 @@ matrices must come out bit-exact.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple, Sequence
 
 IntMatrix = list[list[int]]
@@ -49,13 +50,13 @@ def mat_mul(a, b):
     if a and b and len(a[0]) != len(b):
         raise ValueError(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
     bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a, v):
     if a and len(a[0]) != len(v):
         raise ValueError("dimension mismatch")
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def bareiss_detcof(a: Sequence[Sequence[int]]) -> DetCof:

@@ -124,10 +124,12 @@ def _path_inverse_scaled(m: int) -> IntMatrix:
 
 
 def _build_transport(dg, dh, k: int, s: int) -> Optional[IntMatrix]:
-    # Both matrices split into quadrants [[P, X^T], [X, P]] over the same
-    # path matrix P[i][j] = |i-j|; N = [[I, 0], [(A - T B) P^{-1}, T]] is the
-    # candidate transport of D(H) to D(G). Returns N if that lower-left block
-    # is integral, else None; theta_congruence_checks checks that N transports.
+    # The matrices split into quadrants [[P, A^T], [A, P]] (dg) and
+    # [[P, B^T], [B, P]] (dh) over the same path matrix P[i][j] = |i-j|;
+    # N = [[I, 0], [X, T]] with X = (A - T B) P^{-1} is the candidate transport
+    # of D(H) to D(G). Returns the lower rows [X | T] of N if X is integral,
+    # else None; the top rows [I, 0] are implicit, and theta_congruence_checks
+    # checks that N transports.
     m = k + s
     p = [[abs(i - j) for j in range(m)] for i in range(m)]
     for mat in (dg, dh):
@@ -140,9 +142,19 @@ def _build_transport(dg, dh, k: int, s: int) -> Optional[IntMatrix]:
     x_scaled = mat_mul(mat_sub(a, mat_mul(t, b)), _path_inverse_scaled(m))
     if any(entry % scale for row in x_scaled for entry in row):
         return None
-    n_mat = [[int(i == j) for j in range(m)] + [0] * m for i in range(m)]
-    n_mat += [[entry // scale for entry in x_scaled[i]] + t[i] for i in range(m)]
-    return n_mat
+    return [[entry // scale for entry in x_scaled[i]] + t[i] for i in range(m)]
+
+
+def _transport_product(xt: IntMatrix, d: IntMatrix) -> IntMatrix:
+    """N' d N'^T for a square d of order 2m + 1, where
+    N' = [[I, 0, 0], [X, T, 0], [0, 0, 1]] is given by its middle rows
+    xt = [X | T], m x 2m. N' d keeps the first m rows and the last row of d,
+    so the product is formed blockwise as (N' (N' d)^T)^T.
+    """
+    m = len(xt)
+    for _ in range(2):
+        d = transpose(d[:m] + mat_mul(xt, d[: 2 * m]) + d[2 * m :])
+    return d
 
 
 def theta_congruence_checks(k: int, s: int) -> tuple[bool, bool]:
@@ -150,29 +162,30 @@ def theta_congruence_checks(k: int, s: int) -> tuple[bool, bool]:
     H = theta(1,2s,2k) and G = theta(1,2s-2,2k+2), plain and with the pendant
     vertex H' and G'.
 
-    N is reconstructed in integers from the 2(k+s)-vertex cores of D(H') and
-    D(G') and extended by a 1 block for the pendant vertex. With det N = +-1,
-    so that the congruence preserves the determinant, one product
-    N D(H') N^T is formed. pendant_ok: it equals D(G') entry by entry.
+    N = [[I, 0], [X, T]] is reconstructed in integers from the 2(k+s)-vertex
+    cores of D(H') and D(G') and extended by a 1 block for the pendant vertex
+    to N'. N is block lower triangular, so det N = det T; with det T = +-1, so
+    that the congruence preserves the determinant, one product N' D(H') N'^T
+    is formed blockwise. pendant_ok: it equals D(G') entry by entry.
     plain_ok: the cores equal the plain D(H) and D(G), and the product's
     leading core block, which is N core(D(H')) N^T, equals D(G).
     """
     if k < 2 or s < 2:
         raise ValueError("need k >= 2 and s >= 2")
-    size = 2 * (k + s)
+    m = k + s
+    size = 2 * m
     dh, dg = distance_matrix(labeled_theta(k, s)), distance_matrix(labeled_theta(k + 1, s - 1))
     dh_p = distance_matrix(labeled_theta(k, s, pendant=True))
     dg_p = distance_matrix(labeled_theta(k + 1, s - 1, pendant=True))
     core_h = [row[:size] for row in dh_p[:size]]
     core_g = [row[:size] for row in dg_p[:size]]
-    n_core = _build_transport(core_g, core_h, k, s)
-    if n_core is None:
+    xt = _build_transport(core_g, core_h, k, s)
+    if xt is None:
         return False, False
-    det_n = bareiss_detcof(n_core).det
+    det_n = bareiss_detcof([row[m:] for row in xt]).det
     if det_n * det_n != 1:
         return False, False
-    n_mat = [row + [0] for row in n_core] + [[0] * size + [1]]
-    product = mat_mul(mat_mul(n_mat, dh_p), transpose(n_mat))
+    product = _transport_product(xt, dh_p)
     plain_ok = core_h == dh and core_g == dg and [row[:size] for row in product[:size]] == dg
     return plain_ok, product == dg_p
 

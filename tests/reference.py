@@ -4,7 +4,9 @@ The package computes determinants and cofactor sums by fraction-free
 elimination in integers only. These routines check it from outside: rational
 Gaussian elimination and Gauss-Jordan inversion over Fraction, first-row
 cofactor expansion, and the cofactor sum both as det(A + J) - det(A) and
-straight from its definition.
+straight from its definition. Matrix products are the triple loop of their
+definition, and the theta congruence transport is multiplied out densely over
+the full bordered matrix N'.
 
 The package finds and classifies blocks in one lowpoint DFS that also decides
 connectivity. The two-pass decomposition here checks it: a BFS connectivity
@@ -120,6 +122,35 @@ def cof_sum_minors(a: Sequence[Sequence[int]]) -> int:
             minor = [[row[c] for c in range(n) if c != j] for row in rows]
             total += (-1) ** (i + j) * _det_expand(minor)
     return total
+
+
+def mat_mul_naive(a, b):
+    """Matrix product by the triple loop of its definition."""
+    out = [[0] * len(b[0]) for _ in a]
+    for i in range(len(a)):
+        for j in range(len(b[0])):
+            for k in range(len(b)):
+                out[i][j] += a[i][k] * b[k][j]
+    return out
+
+
+def mat_vec_naive(a, v):
+    """Matrix-vector product by the double loop of its definition."""
+    out = [0] * len(a)
+    for i in range(len(a)):
+        for k in range(len(v)):
+            out[i] += a[i][k] * v[k]
+    return out
+
+
+def dense_transport_product(xt, d) -> tuple[list[list[int]], Fraction]:
+    """(N' d N'^T, det N) with N' = [[I, 0, 0], [X, T, 0], [0, 0, 1]] of order
+    2m + 1 built in full from its middle rows xt = [X | T] and multiplied out
+    densely. det N' = det N, since the border is 1."""
+    m = len(xt)
+    top = [[int(i == j) for j in range(2 * m)] for i in range(m)]
+    n = [row + [0] for row in top + [list(row) for row in xt]] + [[0] * (2 * m) + [1]]
+    return mat_mul_naive(mat_mul_naive(n, d), [list(col) for col in zip(*n)]), rat_det(n)
 
 
 def is_connected(g: Graph) -> bool:

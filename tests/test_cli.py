@@ -169,7 +169,7 @@ class TestDet:
         assert main(["det", str(path)]) == 3
         assert time.perf_counter() - start < 10
         err = capsys.readouterr().err
-        assert err.startswith("refused: 4 unsupported block(s) of 1206 vertices")
+        assert err.startswith("refused: 4 distinct unsupported block(s) of 1206 vertices")
         assert f"limit of {MAX_ORACLE_BLOCK} vertices" in err
 
     def test_copies_of_one_unsupported_block_take_one_elimination(self, tmp_path, capsys, monkeypatch):

@@ -318,7 +318,7 @@ class TestBlockOracle:
         path.write_text(format_edge_list(two_k5))
         assert main(["det", str(path)]) == 3
         err = capsys.readouterr().err
-        assert "2 unsupported block(s) of 10 vertices" in err and "limit of 6 vertices" in err
+        assert "2 distinct unsupported block(s) of 10 vertices" in err and "limit of 6 vertices" in err
         assert eliminations == []
 
     def test_budget_lists_distinct_blocks_in_order_of_first_appearance(self, monkeypatch):

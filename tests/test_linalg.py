@@ -15,7 +15,16 @@ from distdet.linalg import (
     mat_vec,
     transpose,
 )
-from reference import SingularMatrixError, cof_sum, cof_sum_minors, det_cofactor_expansion, rat_det, rat_inverse
+from reference import (
+    SingularMatrixError,
+    cof_sum,
+    cof_sum_minors,
+    det_cofactor_expansion,
+    mat_mul_naive,
+    mat_vec_naive,
+    rat_det,
+    rat_inverse,
+)
 
 square_int_matrix = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.lists(
@@ -158,6 +167,31 @@ def test_matrix_helpers():
     assert mat_mul(a, identity(2)) == a
     assert mat_scale(2, a) == [[2, 4], [6, 8]]
     assert mat_vec(a, [1, 1]) == [3, 7]
+
+
+@st.composite
+def product_operands(draw):
+    """a (p x q), b (q x r) and v (q) whose entries are all int or all Fraction."""
+    entries = draw(
+        st.sampled_from([st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=7)])
+    )
+    p, q, r = (draw(st.integers(1, 5)) for _ in range(3))
+
+    def matrix(rows, cols):
+        return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+    return matrix(p, q), matrix(q, r), draw(st.lists(entries, min_size=q, max_size=q))
+
+
+@settings(deadline=None)
+@given(product_operands())
+def test_products_match_naive_loops(operands):
+    a, b, v = operands
+    product, image = mat_mul(a, b), mat_vec(a, v)
+    assert product == mat_mul_naive(a, b)
+    assert image == mat_vec_naive(a, v)
+    if all(type(x) is int for row in a for x in row):
+        assert all(type(x) is int for row in product for x in row) and all(type(x) is int for x in image)
 
 
 def test_matrix_helpers_reject_shape_mismatch():
