@@ -163,44 +163,6 @@ def classify_graph(g: Graph) -> list[tuple[frozenset[tuple[int, int]], BlockKind
     return [(b, classify_block(b)) for b in biconnected_components(g)]
 
 
-@dataclass(frozen=True)
-class BlockInventory:
-    """Counts of the supported block shapes, the input to the census formula."""
-
-    edge_blocks: int
-    cycle_lengths: tuple[int, ...]
-    theta_triples: tuple[tuple[int, int, int], ...]
-
-    def block_count(self) -> int:
-        return self.edge_blocks + len(self.cycle_lengths) + len(self.theta_triples)
-
-    @property
-    def even_cycles(self) -> tuple[int, ...]:
-        return tuple(c for c in self.cycle_lengths if c % 2 == 0)
-
-    @property
-    def theta_one_even_pairs(self) -> tuple[tuple[int, int], ...]:
-        """(p, q) of each triple (1, p, q) with p and q even."""
-        return tuple((p, q) for l, p, q in self.theta_triples if theta_family(l, p, q) == "one-even-even")
-
-    @property
-    def theta_222_count(self) -> int:
-        return sum(1 for t in self.theta_triples if theta_family(*t) == "two-two-two")
-
-    @property
-    def theta_22q_values(self) -> tuple[int, ...]:
-        """q of each triple (2, 2, q) with q odd, q > 1."""
-        return tuple(q for l, p, q in self.theta_triples if theta_family(l, p, q) == "two-two-odd")
-
-    @property
-    def zero_theta_triples(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(t for t in self.theta_triples if theta_family(*t) == "zero")
-
-    @property
-    def has_zero_block(self) -> bool:
-        return bool(self.even_cycles) or bool(self.zero_theta_triples)
-
-
 def theta_family(l: int, p: int, q: int) -> str:
     """Which of the four determinant families a theta triple falls in."""
     l, p, q = check_theta_triple(l, p, q)
@@ -213,19 +175,9 @@ def theta_family(l: int, p: int, q: int) -> str:
     return "zero"
 
 
-def census(kinds: Iterable[BlockKind]) -> BlockInventory:
-    """Census of the supported block kinds; unsupported ones are left out."""
-    edge_blocks = 0
-    cycles: list[int] = []
-    thetas: list[tuple[int, int, int]] = []
-    for kind in kinds:
-        if isinstance(kind, Edge):
-            edge_blocks += 1
-        elif isinstance(kind, Cycle):
-            cycles.append(kind.length)
-        elif isinstance(kind, Theta):
-            thetas.append((kind.l, kind.p, kind.q))
-    return BlockInventory(edge_blocks, tuple(sorted(cycles)), tuple(sorted(thetas)))
+def census(kinds: Iterable[BlockKind]) -> Counter[BlockKind]:
+    """How many blocks of each supported kind; unsupported ones are left out."""
+    return Counter(kind for kind in kinds if not isinstance(kind, Unsupported))
 
 
 def block_subgraph(b: frozenset[tuple[int, int]]) -> Graph:

@@ -125,7 +125,9 @@ def _parse_block_spec(text: str) -> BlockRequest:
         if not sep:
             raise ValueError(f"expected key=value, got {chunk!r}")
         if key == "edges":
-            edges = int(value)
+            if int(value) < 0:
+                raise ValueError("edge block count must be non-negative")
+            edges += int(value)
         elif key == "cycles":
             cycles += [int(item) for item in value.split(";") if item]
         elif key == "thetas":

@@ -6,10 +6,16 @@ tree: for blocks G_1..G_k of a connected graph G,
     cof D(G) = prod_i cof D(G_i)
     det D(G) = sum_i det D(G_i) * prod_{j != i} cof D(G_j)
 
-so the whole-graph values follow from a census of the blocks. det_cof_closed
-evaluates the direct census formula and the block composition independently
-and insists they agree. The composition holds for any block, so a block with
-no closed form is valued on its own by one exact elimination pass.
+so the whole-graph values follow from a census of the blocks: with c_k blocks
+of each distinct kind k,
+
+    cof D(G) = prod_k cof_k^c_k
+    det D(G) = cof D(G) * sum_k c_k det_k / cof_k
+
+and any even cycle or vanishing theta makes both 0. det_cof_closed evaluates
+this census formula and the block composition independently and insists they
+agree. The composition holds for any block, so a block with no closed form is
+valued on its own by one exact elimination pass.
 """
 
 from __future__ import annotations
@@ -17,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from .blocks import (
-    BlockInventory,
     BlockKind,
     Cycle,
     Edge,
@@ -93,27 +98,19 @@ def cycle_detcof(n: int) -> DetCof:
 def unicyclic_det(l: int, m: int) -> int:
     """det for one cycle C_l plus m tree edges, any placement: odd l gives
     (-2)^m (l^2 + 2ml - 1)/4, even l gives 0."""
-    if l < 3:
-        raise ValueError(f"cycle length {l} < 3")
-    if m < 0:
-        raise ValueError("edge count must be non-negative")
-    if l % 2 == 0:
-        return 0
-    return _exact_int(Fraction((-2) ** m) * Fraction(l * l + 2 * m * l - 1, 4))
+    return cactus_det((l,), m)
 
 
 def cactus_det(cycle_lengths: Iterable[int], m: int) -> int:
-    """det for a cactus of cycles C_{l_1}..C_{l_c} plus m tree edges."""
-    lengths = list(cycle_lengths)
+    """det for a cactus of cycles C_{l_1}..C_{l_c} plus m tree edges, by the census formula."""
+    counts = census(map(Cycle, cycle_lengths))
     if m < 0:
         raise ValueError("edge count must be non-negative")
-    for l in lengths:
-        if l < 3:
-            raise ValueError(f"cycle length {l} < 3")
-    if any(l % 2 == 0 for l in lengths):
-        return 0
-    ratio = Fraction(m, 2) + sum(Fraction(l * l - 1, 4 * l) for l in lengths)
-    return _exact_int(Fraction((-2) ** m) * prod(Fraction(l) for l in lengths) * ratio)
+    for cycle in counts:
+        if cycle.length < 3:
+            raise ValueError(f"cycle length {cycle.length} < 3")
+    counts[Edge()] = m
+    return _census_formula(counts).det
 
 
 def theta_detcof(l: int, p: int, q: int) -> DetCof:
@@ -221,13 +218,12 @@ def det_cof_closed(g: Graph, classified: Optional[list[tuple[frozenset[tuple[int
 
     parts = oracle
     if closed:
-        inv = census(kind for _, kind in classified)
-        whole = _census_formula(inv)
+        whole = _census_formula(census(kind for _, kind in classified))
         cross = compose_ghh(closed)
         if cross != whole:
             raise ArithmeticError(f"census formula {whole} disagrees with block composition {cross}")
         if not oracle:
-            if inv.has_zero_block:
+            if whole.cof == 0:
                 provenance = "zero block (even cycle or vanishing theta)"
             else:
                 provenance = "block census formula, cross-checked by block composition"
@@ -240,26 +236,35 @@ def det_cof_closed(g: Graph, classified: Optional[list[tuple[frozenset[tuple[int
     return FormulaResult(det, cof, provenance + ", composed over the block tree", blocks)
 
 
-def _census_formula(inv: BlockInventory) -> DetCof:
-    if inv.has_zero_block:
-        return DetCof(0, 0)
-    m = inv.edge_blocks
-    pairs = inv.theta_one_even_pairs
-    s = inv.theta_222_count
-    odd_qs = inv.theta_22q_values
-    cof = (
-        (-2) ** m
-        * (-1) ** len(pairs)
-        * (-16) ** s
-        * prod(inv.cycle_lengths)
-        * prod(p + q for p, q in pairs)
-        * prod(4 * q - 8 for q in odd_qs)
-    )
-    ratio = (
-        Fraction(m, 2)
-        + sum(Fraction(l * l - 1, 4 * l) for l in inv.cycle_lengths)
-        + sum(Fraction(p + q, 4) for p, q in pairs)
-        + s
-        + sum(Fraction(q * q - 5, 4 * q - 8) for q in odd_qs)
-    )
+def _census_term(kind: BlockKind) -> tuple[int, Fraction]:
+    """(cof, det / cof) of one supported block kind, with cof 0 for a kind whose
+    det and cof both vanish. Stated here apart from block_detcof, so that
+    det_cof_closed checks one statement of the closed forms against another."""
+    if isinstance(kind, Edge):
+        return -2, Fraction(1, 2)
+    if isinstance(kind, Cycle):
+        l = kind.length
+        return (l, Fraction(l * l - 1, 4 * l)) if l % 2 else (0, Fraction(0))
+    family = theta_family(kind.l, kind.p, kind.q)
+    if family == "one-even-even":
+        n = kind.p + kind.q
+        return -n, Fraction(n, 4)
+    if family == "two-two-two":
+        return -16, Fraction(1)
+    if family == "two-two-odd":
+        factor = 4 * kind.q - 8
+        return factor, Fraction(kind.q * kind.q - 5, factor)
+    return 0, Fraction(0)
+
+
+def _census_formula(counts: Mapping[BlockKind, int]) -> DetCof:
+    """The census formula, one term per distinct kind; counts is census()."""
+    cof = 1
+    ratio = Fraction(0)
+    for kind, c in counts.items():
+        factor, term = _census_term(kind)
+        if factor == 0:
+            return DetCof(0, 0)
+        cof *= factor**c
+        ratio += c * term
     return DetCof(_exact_int(ratio * cof), cof)

@@ -12,10 +12,15 @@ The package finds and classifies blocks in one lowpoint DFS that also decides
 connectivity. The two-pass decomposition here checks it: a BFS connectivity
 test first, then the DFS popping one edge at a time, then an explicit degree
 count per block.
+
+The package states the census formula once per distinct block kind. The
+per-block census here checks it: sorted cycle lengths and theta triples, each
+theta family filtered out of the triples, and one Fraction term per block.
 """
 
 from collections import Counter
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from distdet.blocks import BlockKind, Cycle, Edge, Theta, Unsupported, theta_params
@@ -241,3 +246,33 @@ def classify_block(b: frozenset[tuple[int, int]]) -> BlockKind:
 def classify_graph(g: Graph) -> list[tuple[frozenset[tuple[int, int]], BlockKind]]:
     """Every block with its classification, by the two-pass decomposition."""
     return [(b, classify_block(b)) for b in biconnected_components(g)]
+
+
+def census_formula(kinds: Sequence[BlockKind]) -> tuple[int, int]:
+    """(det, cof) of a graph with these supported blocks by the census
+    formula, one block at a time; (0, 0) if any block is an even cycle or a
+    theta outside the three non-zero families."""
+    edges = sum(1 for kind in kinds if isinstance(kind, Edge))
+    cycles = sorted(kind.length for kind in kinds if isinstance(kind, Cycle))
+    thetas = sorted((kind.l, kind.p, kind.q) for kind in kinds if isinstance(kind, Theta))
+    pairs = [(p, q) for l, p, q in thetas if l == 1 and p % 2 == 0 and q % 2 == 0]
+    s = sum(1 for triple in thetas if triple == (2, 2, 2))
+    odd_qs = [q for l, p, q in thetas if l == 2 and p == 2 and q % 2 == 1]
+    if any(c % 2 == 0 for c in cycles) or len(pairs) + s + len(odd_qs) < len(thetas):
+        return 0, 0
+    cof = (
+        (-2) ** edges
+        * (-1) ** len(pairs)
+        * (-16) ** s
+        * prod(cycles)
+        * prod(p + q for p, q in pairs)
+        * prod(4 * q - 8 for q in odd_qs)
+    )
+    terms = [Fraction(1, 2)] * edges
+    terms += [Fraction(l * l - 1, 4 * l) for l in cycles]
+    terms += [Fraction(p + q, 4) for p, q in pairs]
+    terms += [Fraction(1)] * s
+    terms += [Fraction(q * q - 5, 4 * q - 8) for q in odd_qs]
+    det = sum(terms, Fraction(0)) * cof
+    assert det.denominator == 1
+    return int(det), cof

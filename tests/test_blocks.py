@@ -1,6 +1,7 @@
 import random
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from distdet.blocks import (
     theta_family,
     theta_params,
 )
+from distdet.formulas import _census_formula
 from distdet.graphs import (
     BlockRequest,
     DisconnectedGraphError,
@@ -47,6 +49,16 @@ def vertices(block):
 def census_of(g):
     """The census that det_cof_closed takes of a graph's blocks."""
     return census(kind for _, kind in classify_graph(g))
+
+
+def cycle_lengths(counts):
+    """The cycle lengths of a census, one per cycle block, sorted."""
+    return tuple(sorted(kind.length for kind in counts.elements() if isinstance(kind, Cycle)))
+
+
+def theta_triples(counts):
+    """The theta triples of a census, one per theta block, sorted."""
+    return tuple(sorted((kind.l, kind.p, kind.q) for kind in counts.elements() if isinstance(kind, Theta)))
 
 
 class TestDecomposition:
@@ -199,10 +211,10 @@ class TestScaling:
         start = time.perf_counter()
         classified = classify_graph(g)
         assert time.perf_counter() - start < 30
-        kinds = census(kind for _, kind in classified)
-        assert kinds.edge_blocks == 100_000
-        assert kinds.cycle_lengths == (251,) * 200
-        assert kinds.theta_triples == ((2, 2, 251),) * 200
+        counts = census(kind for _, kind in classified)
+        assert counts[Edge()] == 100_000
+        assert cycle_lengths(counts) == (251,) * 200
+        assert theta_triples(counts) == ((2, 2, 251),) * 200
 
 
 class TestClassification:
@@ -270,51 +282,51 @@ class TestThetaFamily:
 
 
 class TestInventory:
+    """The census is a Counter of the supported kinds. Which family each theta
+    triple falls in is TestThetaFamily's part; the triples here are among its
+    cases."""
+
     def test_worked_composite(self):
         g = random_block_graph(BlockRequest(edges=1, cycles=(3,), thetas=((1, 2, 2),)), seed=7)
-        inv = census_of(g)
-        assert inv.edge_blocks == 1
-        assert inv.cycle_lengths == (3,)
-        assert inv.theta_triples == ((1, 2, 2),)
-        assert inv.block_count() == 3
-        assert not inv.has_zero_block
-        assert inv.theta_one_even_pairs == ((2, 2),)
-        assert inv.theta_222_count == 0
-        assert inv.theta_22q_values == ()
+        counts = census_of(g)
+        assert counts == Counter({Edge(): 1, Cycle(3): 1, Theta(1, 2, 2): 1})
+        assert sum(counts.values()) == 3
+        assert _census_formula(counts) != (0, 0)
+        assert [theta_family(*t) for t in theta_triples(counts)] == ["one-even-even"]
 
     def test_census_properties(self):
         req = BlockRequest(edges=2, cycles=(3, 5), thetas=((1, 2, 2), (2, 2, 2), (2, 2, 3), (2, 3, 3)))
-        inv = census_of(random_block_graph(req, seed=3))
-        assert inv.edge_blocks == 2
-        assert inv.cycle_lengths == (3, 5)
-        assert inv.theta_one_even_pairs == ((2, 2),)
-        assert inv.theta_222_count == 1
-        assert inv.theta_22q_values == (3,)
-        assert inv.zero_theta_triples == ((2, 3, 3),)
-        assert inv.has_zero_block
+        counts = census_of(random_block_graph(req, seed=3))
+        assert counts[Edge()] == 2
+        assert cycle_lengths(counts) == (3, 5)
+        assert theta_triples(counts) == ((1, 2, 2), (2, 2, 2), (2, 2, 3), (2, 3, 3))
+        families = [theta_family(*t) for t in theta_triples(counts)]
+        assert families == ["one-even-even", "two-two-two", "two-two-odd", "zero"]
+        assert _census_formula(counts) == (0, 0)
 
     def test_even_cycle_flags_zero(self):
-        inv = census_of(cycle_graph(6))
-        assert inv.even_cycles == (6,)
-        assert inv.has_zero_block
+        counts = census_of(cycle_graph(6))
+        assert counts == Counter({Cycle(6): 1})
+        assert _census_formula(counts) == (0, 0)
 
     def test_single_vertex_inventory(self):
-        inv = census_of(Graph(1, frozenset()))
-        assert inv.block_count() == 0
+        counts = census_of(Graph(1, frozenset()))
+        assert counts == Counter()
+        assert sum(counts.values()) == 0
 
     def test_census_leaves_unsupported_out(self):
         # K4 glued to one edge at vertex 1: only the edge block is counted
         merged = Graph.from_edges(5, [(0, 1)] + [(u + 1, v + 1) for u, v in complete_graph(4).edges])
-        inv = census_of(merged)
-        assert inv.block_count() == inv.edge_blocks == 1
+        counts = census_of(merged)
+        assert sum(counts.values()) == counts[Edge()] == 1
 
     def test_round_trip_with_generator(self):
         for seed in range(15):
             req = BlockRequest(edges=seed % 4, cycles=(3, 4, 7)[: 1 + seed % 3], thetas=((1, 2, 2), (2, 2, 3))[: 1 + seed % 2])
-            inv = census_of(random_block_graph(req, seed))
-            assert inv.edge_blocks == req.edges
-            assert inv.cycle_lengths == tuple(sorted(req.cycles))
-            assert inv.theta_triples == tuple(sorted(req.thetas))
+            counts = census_of(random_block_graph(req, seed))
+            assert counts[Edge()] == req.edges
+            assert cycle_lengths(counts) == tuple(sorted(req.cycles))
+            assert theta_triples(counts) == tuple(sorted(req.thetas))
 
     def test_classify_graph_includes_unsupported(self):
         # K4 glued to one edge at vertex 1

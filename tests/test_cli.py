@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import distdet.cli
 import distdet.formulas
+from distdet.blocks import Cycle, Edge, Theta, census, classify_graph
 from distdet.cli import main
 from distdet.formulas import MAX_ORACLE_BLOCK, compose_ghh
 from distdet.graphs import BlockRequest, Graph, cycle_graph, format_edge_list, parse_edge_list, random_block_graph
@@ -235,10 +237,52 @@ class TestGen:
         assert main(["gen", "thetas=2-2-3", "-o", str(out)]) == 0
         assert parse_edge_list(out.read_text()).n == 6
 
-    @pytest.mark.parametrize("spec", ["cycles=2", "thetas=1-1-4", "thetas=1-2", "nope=3", "edges"])
+    @pytest.mark.parametrize("spec", ["cycles=2", "thetas=1-1-4", "thetas=1-2", "nope=3", "edges", "edges=5,edges=-2"])
     def test_invalid_spec(self, spec, capsys):
         assert main(["gen", spec]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_repeated_keys_add_up(self, capsys):
+        assert main(["gen", "edges=2,cycles=3,edges=3,cycles=5"]) == 0
+        g = parse_edge_list(capsys.readouterr().out)
+        assert census(kind for _, kind in classify_graph(g)) == Counter({Edge(): 5, Cycle(3): 1, Cycle(5): 1})
+
+
+spec_chunks = st.one_of(
+    st.integers(-2, 4).map(lambda k: ("edges", k)),
+    st.lists(st.integers(2, 9), max_size=3).map(lambda lengths: ("cycles", lengths)),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(1, 5), st.integers(1, 5)), max_size=2).map(lambda ts: ("thetas", ts)),
+)
+
+
+def spec_text(key, value):
+    if key == "edges":
+        return f"edges={value}"
+    return f"{key}=" + ";".join("-".join(map(str, item)) if key == "thetas" else str(item) for item in value)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(spec_chunks, max_size=5), st.integers(0, 2**16))
+def test_gen_spec_round_trip(chunks, seed):
+    """gen ends in exit 0 or 2 and never raises; a graph it emits has exactly
+    the blocks its spec asks for, with repeated keys adding up."""
+    spec = ",".join(spec_text(key, value) for key, value in chunks)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["gen", spec, "--seed", str(seed)])
+    assert code in (0, 2), (spec, code, err.getvalue())
+    if any(key == "edges" and value < 0 for key, value in chunks):
+        assert code == 2, spec
+    if code == 0:
+        expected = Counter()
+        for key, value in chunks:
+            if key == "edges":
+                expected[Edge()] += value
+            elif key == "cycles":
+                expected.update(map(Cycle, value))
+            else:
+                expected.update(Theta(*sorted(t)) for t in value)
+        assert census(kind for _, kind in classify_graph(parse_edge_list(out.getvalue()))) == expected
 
 
 class TestVerify:

@@ -2,12 +2,16 @@ import random
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import distdet.formulas
-from distdet.blocks import Unsupported, classify_graph
+from distdet.blocks import Cycle, Edge, Theta, Unsupported, census, classify_graph
 from distdet.cli import main
 from distdet.formulas import (
     BlockTooLargeError,
+    _census_formula,
+    block_detcof,
     cactus_det,
     compose_ghh,
     cycle_detcof,
@@ -31,6 +35,7 @@ from distdet.graphs import (
 )
 from distdet.linalg import DetCof
 from distdet.verify import det_cof_oracle
+import reference
 
 
 def test_edge_values():
@@ -177,6 +182,35 @@ class TestCompose:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             compose_ghh([])
+
+
+even = st.integers(1, 10).map(lambda k: 2 * k)
+odd = st.integers(1, 20).map(lambda k: 2 * k + 1)
+theta_kinds = st.one_of(
+    st.tuples(even, even).map(lambda pq: Theta(1, *sorted(pq))),
+    st.just(Theta(2, 2, 2)),
+    odd.map(lambda q: Theta(2, 2, q)),
+    st.tuples(st.integers(1, 9), st.integers(2, 9), st.integers(2, 9)).map(lambda t: Theta(*sorted(t))),
+)
+block_kinds = st.one_of(st.just(Edge()), st.integers(3, 41).map(Cycle), theta_kinds)
+
+
+@st.composite
+def kind_multisets(draw):
+    """A shuffled list of supported block kinds, each distinct kind 0..60 times."""
+    multiplicities = draw(st.dictionaries(block_kinds, st.integers(0, 60), max_size=4))
+    return draw(st.permutations([kind for kind, c in multiplicities.items() for _ in range(c)]))
+
+
+class TestCensusFormula:
+    @settings(deadline=None, max_examples=150)
+    @given(kind_multisets())
+    @example([])
+    def test_against_per_block_reference_and_composition(self, kinds):
+        whole = _census_formula(census(kinds))
+        assert whole == reference.census_formula(kinds)
+        if kinds:
+            assert whole == compose_ghh([block_detcof(kind) for kind in kinds])
 
 
 class TestClosedForm:

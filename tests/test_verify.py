@@ -16,6 +16,7 @@ from distdet.graphs import (
     build_theta,
     cycle_graph,
     distance_matrix,
+    format_edge_list,
     labeled_theta,
     path_graph,
     random_block_graph,
@@ -410,3 +411,29 @@ def test_default_verify_fails_on_any_wrong_table_row(row, monkeypatch, capsys):
     assert main(["verify"]) == 1
     out = capsys.readouterr().out
     assert out.strip().endswith("FAIL") and "graphs: 200/200 passed" not in out
+
+
+# a small graph holding a block of each non-zero row of the table
+NONZERO_ROW_GRAPHS = {
+    "edge": path_graph(3),
+    "odd cycle": cycle_graph(5),
+    "theta(1, p, q), p and q even": build_theta(1, 2, 4),
+    "theta(2, 2, 2)": build_theta(2, 2, 2),
+    "theta(2, 2, q), q odd": build_theta(2, 2, 5),
+}
+
+
+@pytest.mark.parametrize("row", list(NONZERO_ROW_GRAPHS))
+def test_census_does_not_follow_a_wrong_table_row(row, monkeypatch, tmp_path, capsys):
+    # the census states every row on its own, so a wrong row reaches only the
+    # block composition and the two disagree; a census derived from the
+    # table would follow the wrong row and agree
+    name, in_row = CLOSED_FORM_ROWS[row]
+    monkeypatch.setattr(distdet.formulas, name, _wrong_on(getattr(distdet.formulas, name), in_row))
+    g = NONZERO_ROW_GRAPHS[row]
+    with pytest.raises(ArithmeticError):
+        det_cof_closed(g)
+    path = tmp_path / "g.txt"
+    path.write_text(format_edge_list(g))
+    assert main(["det", str(path)]) == 4
+    assert "internal inconsistency" in capsys.readouterr().err
