@@ -6,7 +6,8 @@ proof identities), gen (emit a random block graph as an edge list), bench (CSV
 timings).
 
 Exit codes: 0 answer, 1 verify failure, 2 bad input, 3 refusal (a block too
-large for the block oracle), 4 internal inconsistency.
+large for the block oracle), 4 internal inconsistency, 141 standard output
+closed by its reader.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import statistics
 import sys
 import time
@@ -23,6 +25,8 @@ from .formulas import MAX_ORACLE_BLOCK, BlockTooLargeError, FormulaResult, block
 from .graphs import BlockRequest, Graph, GraphError, check_theta_triple, format_edge_list, parse_edge_list, random_block_graph, triangle_chain
 from .verify import cycle_inverse_checks, det_cof_oracle, fuzz_campaign, theta_congruence_checks
 
+# 128 + SIGPIPE, the status a shell reports for a writer killed by a closed pipe
+EXIT_BROKEN_PIPE = 141
 INVERSE_K_MAX = 12
 CONGRUENCE_RANGE = range(2, 7)
 
@@ -32,6 +36,14 @@ def _read_text(path: str) -> str:
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
+
+
+def _write_text(path: str, text: str) -> None:
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
 
 
 def _block_lines(rows: list[dict]) -> list[str]:
@@ -146,12 +158,7 @@ def _parse_block_spec(text: str) -> BlockRequest:
 def cmd_gen(args) -> int:
     request = _parse_block_spec(args.blocks)
     g = random_block_graph(request, args.seed)
-    text = format_edge_list(g, comment=f"blocks: {args.blocks} seed: {args.seed}")
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    _write_text(args.output, format_edge_list(g, comment=f"blocks: {args.blocks} seed: {args.seed}"))
     return 0
 
 
@@ -192,12 +199,7 @@ def cmd_bench(args) -> int:
     lines = ["n,closed_micros,oracle_micros,match"]
     for size, closed, oracle, match in bench_rows(args.max_n, args.reps):
         lines.append(f"{size},{closed},{oracle},{str(match).lower()}")
-    text = "\n".join(lines) + "\n"
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    _write_text(args.output, "\n".join(lines) + "\n")
     return 0
 
 
@@ -248,7 +250,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's final flush
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading, so nobody is left to tell; the final
+        # flush of the unwritten rest goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

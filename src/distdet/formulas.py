@@ -48,10 +48,9 @@ MAX_ORACLE_BLOCK = 430
 
 
 class BlockTooLargeError(Exception):
-    """Unsupported blocks over the block oracle budget: computing them would
-    take too long, so det_cof_closed refuses the graph. vertex_counts holds
-    the vertex count of each distinct unsupported block, in order of first
-    appearance."""
+    """Blocks over the block oracle budget: computing them would take too
+    long, so block_oracle refuses them. vertex_counts holds the vertex count
+    of each distinct block it was given, in order of first appearance."""
 
     def __init__(self, vertex_counts: tuple[int, ...]):
         super().__init__(
@@ -182,39 +181,46 @@ def block_detcof(kind: BlockKind) -> DetCof:
     raise ValueError(f"no closed form for {kind!r}")
 
 
+def block_oracle(blocks: Iterable[frozenset[tuple[int, int]]]) -> list[DetCof]:
+    """(det, cof) of each block in block order, from the block's own distance
+    matrix by one bordered Bareiss pass.
+
+    Equal relabelled subgraphs are identical graphs, so each distinct one is
+    budgeted and eliminated once, in order of first appearance. Distinct
+    blocks of b_i vertices with sum b_i^3 above MAX_ORACLE_BLOCK^3 raise
+    BlockTooLargeError before any matrix is built.
+    """
+    subgraphs = [block_subgraph(block) for block in blocks]
+    distinct = dict.fromkeys(subgraphs)
+    sizes = tuple(h.n for h in distinct)
+    if sum(b**3 for b in sizes) > MAX_ORACLE_BLOCK**3:
+        raise BlockTooLargeError(sizes)
+    for h in distinct:
+        distinct[h] = bareiss_detcof(distance_matrix(h))
+    return [distinct[h] for h in subgraphs]
+
+
 def det_cof_closed(g: Graph, classified: Optional[list[tuple[frozenset[tuple[int, int]], BlockKind]]] = None) -> FormulaResult:
     """(det, cof) of a connected graph from one block decomposition.
 
     `classified` is classify_graph(g), for a caller that holds it already;
     without it the graph is decomposed here.
 
-    Edges, cycles and theta blocks take their closed forms; any other block
-    is valued by the block oracle, one bordered Bareiss pass over that
-    block's own distance matrix, once for all copies of one block. The block
-    values compose over the block tree. The direct census formula over the
+    Edges, cycles and theta blocks take their closed forms; the other blocks
+    are valued by block_oracle, which refuses them with BlockTooLargeError
+    when they are over its budget. The direct census formula over the
     supported blocks is evaluated independently and must agree with their
     composition; a disagreement would mean a bug and raises ArithmeticError.
-    Distinct unsupported blocks of b_i vertices with sum b_i^3 above
-    MAX_ORACLE_BLOCK^3 raise BlockTooLargeError before any matrix is built.
+    The census value and the oracle values then compose over the block tree.
     """
     if classified is None:
         classified = classify_graph(g)
     if not classified:
         return FormulaResult(0, 0, "single vertex")
-    # equal relabelled subgraphs are identical graphs, so each distinct one
-    # is budgeted and eliminated once, in order of first appearance
-    subgraphs = {block: block_subgraph(block) for block, kind in classified if isinstance(kind, Unsupported)}
-    distinct = dict.fromkeys(subgraphs.values())
-    sizes = tuple(h.n for h in distinct)
-    if sum(b**3 for b in sizes) > MAX_ORACLE_BLOCK**3:
-        raise BlockTooLargeError(sizes)
-    oracle_values = {h: bareiss_detcof(distance_matrix(h)) for h in distinct}
-    blocks = tuple(
-        (kind, oracle_values[subgraphs[block]] if isinstance(kind, Unsupported) else block_detcof(kind))
-        for block, kind in classified
-    )
+    oracle = block_oracle(block for block, kind in classified if isinstance(kind, Unsupported))
+    values = iter(oracle)
+    blocks = tuple((kind, next(values) if isinstance(kind, Unsupported) else block_detcof(kind)) for _, kind in classified)
     closed = [value for kind, value in blocks if not isinstance(kind, Unsupported)]
-    oracle = [value for kind, value in blocks if isinstance(kind, Unsupported)]
 
     parts = oracle
     if closed:
@@ -222,18 +228,17 @@ def det_cof_closed(g: Graph, classified: Optional[list[tuple[frozenset[tuple[int
         cross = compose_ghh(closed)
         if cross != whole:
             raise ArithmeticError(f"census formula {whole} disagrees with block composition {cross}")
-        if not oracle:
-            if whole.cof == 0:
-                provenance = "zero block (even cycle or vanishing theta)"
-            else:
-                provenance = "block census formula, cross-checked by block composition"
-            return FormulaResult(whole.det, whole.cof, provenance, blocks)
         parts = [whole] + oracle
     det, cof = compose_ghh(parts)
-    provenance = f"block oracle on {len(oracle)} unsupported block(s)"
-    if closed:
-        provenance = f"block census formula on {len(closed)} supported block(s), " + provenance
-    return FormulaResult(det, cof, provenance + ", composed over the block tree", blocks)
+    if oracle:
+        provenance = f"block oracle on {len(oracle)} unsupported block(s), composed over the block tree"
+        if closed:
+            provenance = f"block census formula on {len(closed)} supported block(s), " + provenance
+    elif cof == 0:
+        provenance = "zero block (even cycle or vanishing theta)"
+    else:
+        provenance = "block census formula, cross-checked by block composition"
+    return FormulaResult(det, cof, provenance, blocks)
 
 
 def _census_term(kind: BlockKind) -> tuple[int, Fraction]:

@@ -7,7 +7,6 @@ u < v. Vertices are 0-based ints throughout.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -75,11 +74,9 @@ def parse_edge_list(text: str) -> Graph:
     skipped; CRLF input is fine. Errors carry the offending line number.
     """
     n = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    last_line = 0
+    edges: set[tuple[int, int]] = set()
+    line_no = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        last_line = line_no
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -103,48 +100,39 @@ def parse_edge_list(text: str) -> Graph:
         if not (0 <= u < n and 0 <= v < n):
             raise EdgeListParseError(f"vertex out of range in edge ({u}, {v}), n={n}", line_no)
         key = (u, v) if u < v else (v, u)
-        if key in seen:
+        if key in edges:
             raise EdgeListParseError(f"duplicate edge ({u}, {v})", line_no)
-        seen.add(key)
-        edges.append(key)
+        edges.add(key)
     if n is None:
-        raise EdgeListParseError("missing vertex count", last_line or 1)
-    return Graph(n, frozenset(edges))
+        raise EdgeListParseError("missing vertex count", line_no or 1)
+    # from an iterator the frozenset grows step by step, as Graph.from_edges'
+    # does; a copy of the set is sized anew, twice as large at 75 000 edges
+    return Graph(n, frozenset(iter(edges)))
 
 
 def format_edge_list(g: Graph, comment: str | None = None) -> str:
-    """Inverse of parse_edge_list, with edges emitted in sorted order."""
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
+    """Inverse of parse_edge_list, with edges emitted in sorted order; every
+    line of the comment becomes a '#' line."""
+    lines = [f"# {line}" for line in comment.splitlines()] if comment else []
     lines.append(str(g.n))
     lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
     return "\n".join(lines) + "\n"
-
-
-def bfs_distances(g: Graph, source: int, adj: list[list[int]] | None = None) -> list[int]:
-    """Hop distances from source; unreachable vertices get -1."""
-    if adj is None:
-        adj = g.adjacency()
-    dist = [-1] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
 
 
 def distance_matrix(g: Graph) -> IntMatrix:
     """All-pairs hop distances via one BFS per vertex."""
     adj = g.adjacency()
     rows = []
-    for v in range(g.n):
-        dist = bfs_distances(g, v, adj)
-        if min(dist, default=0) < 0:
+    for source in range(g.n):
+        dist = [-1] * g.n
+        dist[source] = 0
+        order = [source]
+        for u in order:  # the BFS queue: order grows while it is read
+            for w in adj[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    order.append(w)
+        if len(order) < g.n:
             raise DisconnectedGraphError("distance matrix undefined for disconnected graphs")
         rows.append(dist)
     return rows

@@ -15,8 +15,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .blocks import block_row, block_subgraph, classify_graph
-from .formulas import MAX_ORACLE_BLOCK, compose_ghh, det_cof_closed
+from .blocks import block_row, classify_graph
+from .formulas import MAX_ORACLE_BLOCK, block_oracle, compose_ghh, det_cof_closed
 from .graphs import (
     BlockRequest,
     Graph,
@@ -224,26 +224,22 @@ class VerifyReport:
 def verify_graph(g: Graph) -> VerifyReport:
     """Compare oracle, block composition over per-block oracles, and closed form.
 
-    The graph is decomposed once; its blocks feed both the per-block oracles
-    and the closed form, and the whole-graph oracle, which never decomposes,
-    guards that decomposition. Each block's value in the closed form must
-    equal that block's own oracle value, and an ArithmeticError from the
-    closed form's cross-check fails the graph with closed None; the note
-    names either failure. Blocks with no closed form are valued inside
-    det_cof_closed by its own block oracle; the composition holds for
-    arbitrary blocks. For K1 only the determinant is compared: the literal
-    cofactor sum of the 1x1 zero matrix is 1 while the block convention
-    assigns 0.
+    The graph is decomposed once, and its blocks feed both the closed form
+    and block_oracle, the block oracle that det_cof_closed runs on its
+    unsupported blocks. Here it values every block, eliminates each distinct
+    block once, and raises BlockTooLargeError when the blocks are over its
+    budget. The whole-graph oracle, which never decomposes, guards that
+    decomposition. Each block's value in the closed form must equal that
+    block's own oracle value, and an ArithmeticError from the closed form's
+    cross-check fails the graph with closed None; the note names either
+    failure. For K1 only the determinant is compared: the literal cofactor
+    sum of the 1x1 zero matrix is 1 while the block convention assigns 0.
     """
     start = time.perf_counter_ns()
     oracle = det_cof_oracle(g)
     classified = classify_graph(g)
-    rows = []
-    block_values = []
-    for block, kind in classified:
-        value = det_cof_oracle(block_subgraph(block))
-        rows.append(block_row(kind, value))
-        block_values.append(value)
+    block_values = block_oracle(block for block, _ in classified)
+    rows = [block_row(kind, value) for (_, kind), value in zip(classified, block_values)]
     ghh = compose_ghh(block_values) if block_values else None
     try:
         result = det_cof_closed(g, classified)

@@ -18,13 +18,13 @@ per-block census here checks it: sorted cycle lengths and theta triples, each
 theta family filtered out of the triples, and one Fraction term per block.
 """
 
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from math import prod
 from typing import Sequence
 
 from distdet.blocks import BlockKind, Cycle, Edge, Theta, Unsupported, theta_params
-from distdet.graphs import DisconnectedGraphError, Graph, bfs_distances
+from distdet.graphs import DisconnectedGraphError, Graph
 
 # cost guard for the factorial-time cross-check routines
 _MINOR_LIMIT = 8
@@ -165,7 +165,15 @@ def is_connected(g: Graph) -> bool:
     if g.n > g.edge_count + 1:
         # too few edges to span n vertices; answered before anything of size n is allocated
         return False
-    return min(bfs_distances(g, 0)) >= 0
+    adj = g.adjacency()
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        for w in adj[queue.popleft()]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == g.n
 
 
 def biconnected_components(g: Graph) -> list[frozenset[tuple[int, int]]]:

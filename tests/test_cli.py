@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import distdet.cli
 import distdet.formulas
 from distdet.blocks import Cycle, Edge, Theta, census, classify_graph
-from distdet.cli import main
+from distdet.cli import EXIT_BROKEN_PIPE, main
 from distdet.formulas import MAX_ORACLE_BLOCK, compose_ghh
 from distdet.graphs import BlockRequest, Graph, cycle_graph, format_edge_list, parse_edge_list, random_block_graph
 from distdet.linalg import DetCof
@@ -205,6 +205,38 @@ class TestDet:
         assert "internal inconsistency, please report" in capsys.readouterr().err
 
 
+K4_COPIES = 1200
+
+
+@pytest.fixture
+def k4_chain_file(tmp_path):
+    """A chain of K4 blocks whose det and classify JSON answers are far larger
+    than a pipe's 64 KiB buffer."""
+    edges = [(3 * i + a, 3 * i + b) for i in range(K4_COPIES) for a in range(4) for b in range(a + 1, 4)]
+    path = tmp_path / "k4_chain.txt"
+    path.write_text(format_edge_list(Graph.from_edges(3 * K4_COPIES + 1, edges)))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["det", "classify"])
+def test_closed_stdout_exits_quietly(command, k4_chain_file, capsys):
+    argv = [command, k4_chain_file, "--format", "json"]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out) > 96 * 1024
+    env = dict(os.environ, PYTHONPATH=str(Path(distdet.cli.__file__).resolve().parents[1]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "distdet.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, bufsize=0
+    )
+    try:
+        assert child.stdout.read(1) == b"{"
+        child.stdout.close()
+        err = child.stderr.read()
+        assert (child.wait(timeout=60), err) == (EXIT_BROKEN_PIPE, b"")
+    finally:
+        child.kill()
+        child.wait()
+
+
 class TestClassify:
     def test_text(self, k4_file, capsys):
         assert main(["classify", k4_file]) == 0
@@ -246,6 +278,14 @@ class TestGen:
         assert main(["gen", "edges=2,cycles=3,edges=3,cycles=5"]) == 0
         g = parse_edge_list(capsys.readouterr().out)
         assert census(kind for _, kind in classify_graph(g)) == Counter({Edge(): 5, Cycle(3): 1, Cycle(5): 1})
+
+
+    @pytest.mark.parametrize("separator", ["\n", "\r\n", "\x85", "\u2028"])
+    def test_spec_with_a_line_separator_stays_a_comment(self, separator, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        assert main(["gen", f"edges=1,{separator}cycles=3", "-o", str(path)]) == 0
+        assert main(["det", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("det=-7 cof=-6\n")
 
 
 spec_chunks = st.one_of(

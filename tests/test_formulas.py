@@ -12,6 +12,7 @@ from distdet.formulas import (
     BlockTooLargeError,
     _census_formula,
     block_detcof,
+    block_oracle,
     cactus_det,
     compose_ghh,
     cycle_detcof,
@@ -379,3 +380,19 @@ class TestBlockOracle:
         assert result.detcof == det_cof_oracle(k4_chain)
         assert [value for _, value in result.blocks] == [DetCof(-3, -4)] * 6
         assert result.provenance == "block oracle on 6 unsupported block(s), composed over the block tree"
+
+    def test_block_oracle_values_blocks_in_order_and_distinct_ones_once(self, monkeypatch):
+        original = distdet.formulas.bareiss_detcof
+        eliminations = []
+
+        def counted(a):
+            eliminations.append(len(a))
+            return original(a)
+
+        monkeypatch.setattr(distdet.formulas, "bareiss_detcof", counted)
+        k4 = frozenset(complete_block(4)[1])
+        relabelled_k4 = frozenset((2 * u + 3, 2 * v + 3) for u, v in k4)
+        blocks = [frozenset({(0, 1)}), k4, frozenset({(5, 9)}), relabelled_k4]
+        assert block_oracle(blocks) == [DetCof(-1, -2), DetCof(-3, -4), DetCof(-1, -2), DetCof(-3, -4)]
+        assert eliminations == [2, 4]
+        assert block_oracle([]) == [] and eliminations == [2, 4]

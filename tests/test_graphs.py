@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,6 +80,11 @@ def edge_sets(draw):
     return n, pairs
 
 
+# every separator str.splitlines knows, and so every one parse_edge_list splits on
+LINE_SEPARATORS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+comment_texts = st.text(st.one_of(st.characters(), st.sampled_from([sep for sep in LINE_SEPARATORS if len(sep) == 1])))
+
+
 class TestParse:
     def test_round_trip(self):
         g = cycle_graph(5)
@@ -96,6 +103,23 @@ class TestParse:
         g = Graph.from_edges(n, pairs)
         assert g.edges == {(min(u, v), max(u, v)) for u, v in pairs}
         assert parse_edge_list(format_edge_list(g)) == g
+
+    @settings(deadline=None)
+    @given(block_requests, st.integers(0, 2**32 - 1), comment_texts)
+    def test_round_trip_with_any_comment(self, block_request, seed, comment):
+        g = random_block_graph(block_request, seed)
+        assert parse_edge_list(format_edge_list(g, comment=comment)) == g
+
+    @pytest.mark.parametrize("separator", LINE_SEPARATORS)
+    def test_every_comment_line_is_a_comment(self, separator):
+        assert len(f"a{separator}5".splitlines()) == 2
+        text = format_edge_list(path_graph(2), comment=f"a{separator}5{separator}")
+        assert text == "# a\n# 5\n2\n0 1\n"
+
+    def test_parsed_edges_take_no_more_room_than_built_ones(self):
+        # at this size a frozenset copied straight from a set has twice the table
+        g = path_graph(75_001)
+        assert sys.getsizeof(parse_edge_list(format_edge_list(g)).edges) == sys.getsizeof(g.edges)
 
     def test_comments_blanks_crlf(self):
         text = "# header\r\n\r\n3\r\n0 1\r\n# middle\r\n1 2\r\n"
@@ -117,6 +141,8 @@ class TestParse:
             ("3\n1 1\n", 2),
             ("3\n0 5\n", 2),
             ("3\n0 1\n1 0\n", 3),
+            ("", 1),
+            ("# a\n\n", 2),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line_no):

@@ -22,7 +22,7 @@ from distdet.graphs import (
     random_block_graph,
 )
 from distdet.blocks import theta_family
-from distdet.formulas import det_cof_closed
+from distdet.formulas import BlockTooLargeError, det_cof_closed
 from distdet.linalg import DetCof, bareiss_detcof, identity
 from distdet.cli import CONGRUENCE_RANGE, INVERSE_K_MAX, main
 from distdet.verify import (
@@ -31,7 +31,6 @@ from distdet.verify import (
     _path_inverse_scaled,
     _transfer_matrix,
     _transport_product,
-    block_subgraph,
     cycle_inverse_checks,
     det_cof_oracle,
     fuzz_campaign,
@@ -39,7 +38,7 @@ from distdet.verify import (
     theta_congruence_checks,
     verify_graph,
 )
-from distdet.blocks import biconnected_components
+from distdet.blocks import biconnected_components, block_subgraph
 from reference import dense_transport_product, rat_inverse
 
 
@@ -335,6 +334,32 @@ class TestVerifyGraph:
         assert capsys.readouterr().out.strip().endswith("FAIL")
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(rows) == 3 and not any(row["pass"] for row in rows)
+
+    def test_each_distinct_block_eliminated_once(self, monkeypatch):
+        # the whole-graph oracle eliminates through distdet.verify's binding,
+        # the block oracle through distdet.formulas'
+        original = distdet.formulas.bareiss_detcof
+        eliminations = []
+
+        def counted(a):
+            eliminations.append(len(a))
+            return original(a)
+
+        monkeypatch.setattr(distdet.formulas, "bareiss_detcof", counted)
+        report = verify_graph(path_graph(6))
+        assert report.passed and len(report.blocks) == 5
+        assert eliminations == [2]
+
+    def test_blocks_over_budget_refused_before_a_block_matrix(self, monkeypatch):
+        def no_matrix(g):
+            raise AssertionError("block distance matrix built")
+
+        monkeypatch.setattr(distdet.formulas, "MAX_ORACLE_BLOCK", 4)
+        monkeypatch.setattr(distdet.formulas, "distance_matrix", no_matrix)
+        g = Graph.from_edges(6, [(0, 1)] + [(u + 1, v + 1) for u, v in complete_graph(5).edges])
+        with pytest.raises(BlockTooLargeError) as info:
+            verify_graph(g)
+        assert info.value.vertex_counts == (5, 2)
 
     def test_json_dict_schema(self):
         report = verify_graph(path_graph(3))
