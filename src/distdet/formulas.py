@@ -33,6 +33,7 @@ from .blocks import (
     Unsupported,
     block_subgraph,
     census,
+    classify_block,
     classify_graph,
     theta_family,
 )
@@ -49,13 +50,18 @@ MAX_ORACLE_BLOCK = 430
 
 class BlockTooLargeError(Exception):
     """Blocks over the block oracle budget: computing them would take too
-    long, so block_oracle refuses them. vertex_counts holds the vertex count
-    of each distinct block it was given, in order of first appearance."""
+    long, so block_oracle refuses them. It is given the distinct blocks as
+    relabelled graphs, in order of first appearance, and vertex_counts holds
+    the vertex count of each. The message calls them unsupported only when
+    none of them has a closed form."""
 
-    def __init__(self, vertex_counts: tuple[int, ...]):
+    def __init__(self, blocks: tuple[Graph, ...]):
+        vertex_counts = tuple(h.n for h in blocks)
+        unsupported = all(isinstance(classify_block(h.edges), Unsupported) for h in blocks)
+        noun = "unsupported block(s)" if unsupported else "block(s)"
         super().__init__(
-            f"{len(vertex_counts)} distinct unsupported block(s) of {sum(vertex_counts)} vertices in all are over "
-            f"the block oracle budget, the cost of one block at the limit of {MAX_ORACLE_BLOCK} vertices"
+            f"{len(vertex_counts)} distinct {noun} of {sum(vertex_counts)} vertices in all are over the block "
+            f"oracle budget, the cost of one block at the limit of {MAX_ORACLE_BLOCK} vertices"
         )
         self.vertex_counts = vertex_counts
 
@@ -192,9 +198,8 @@ def block_oracle(blocks: Iterable[frozenset[tuple[int, int]]]) -> list[DetCof]:
     """
     subgraphs = [block_subgraph(block) for block in blocks]
     distinct = dict.fromkeys(subgraphs)
-    sizes = tuple(h.n for h in distinct)
-    if sum(b**3 for b in sizes) > MAX_ORACLE_BLOCK**3:
-        raise BlockTooLargeError(sizes)
+    if sum(h.n**3 for h in distinct) > MAX_ORACLE_BLOCK**3:
+        raise BlockTooLargeError(tuple(distinct))
     for h in distinct:
         distinct[h] = bareiss_detcof(distance_matrix(h))
     return [distinct[h] for h in subgraphs]

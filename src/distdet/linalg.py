@@ -35,12 +35,6 @@ def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def mat_sub(a, b):
-    if len(a) != len(b) or any(len(r) != len(s) for r, s in zip(a, b)):
-        raise ValueError("matrix shapes differ")
-    return [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]
-
-
 def mat_scale(c, a):
     return [[c * x for x in row] for row in a]
 

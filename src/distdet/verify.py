@@ -1,11 +1,12 @@
 """Brute-force oracle and identity checkers backing the closed forms.
 
 Everything here is exact: the oracle runs fraction-free elimination on the
-actual distance matrix, the identity checkers compare integer matrices entry
-by entry, with closed-form inverses scaled to integers. verify_graph ties the
-three computations together (oracle, block composition over per-block
-oracles, closed form) for one graph, and fuzz_campaign runs that over a
-deterministic stream of random block graphs.
+actual distance matrix, and each identity checker writes down a closed-form
+integer matrix (an inverse scaled to integers, or a congruence transport),
+checks one determinant and compares one product entry by entry. verify_graph
+ties the three computations together (oracle, block composition over
+per-block oracles, closed form) for one graph, and fuzz_campaign runs that
+over a deterministic stream of random block graphs.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .linalg import (
     identity,
     mat_mul,
     mat_scale,
-    mat_sub,
     mat_vec,
     transpose,
 )
@@ -85,12 +85,9 @@ def cycle_inverse_checks(k: int) -> tuple[bool, bool]:
         return False, False
     v = list(range(1, k + 2)) + list(range(k, 0, -1))
     one = [1] * (2 * k + 1)
-    s_v, s_one = mat_vec(s, v), mat_vec(s, one)
-
-    def dot(x, y):
-        return sum(a * b for a, b in zip(x, y))
-
-    return True, dot(v, s_v) == (k + 1) ** 2 and dot(v, s_one) == (k + 1) ** 2 and dot(one, s_one) == 2 * k + 1
+    (v_s_v,) = mat_vec([v], mat_vec(s, v))
+    v_s_one, one_s_one = mat_vec([v, one], mat_vec(s, one))
+    return True, v_s_v == (k + 1) ** 2 and v_s_one == (k + 1) ** 2 and one_s_one == 2 * k + 1
 
 
 def _transfer_matrix(k: int, s: int) -> list[list[int]]:
@@ -106,43 +103,19 @@ def _transfer_matrix(k: int, s: int) -> list[list[int]]:
     return t
 
 
-def _path_inverse_scaled(m: int) -> IntMatrix:
-    """Q = 2(m-1) P^{-1} for the path distance matrix P = (|i-j|), m >= 2.
-
-    Graham and Lovasz: D(T)^{-1} = -L/2 + tau tau^T / (2(m-1)) for a tree T
-    on m vertices, L its Laplacian and tau = 2 - deg, so
-    Q = -(m-1) L + tau tau^T; for the path tau = (1, 0, ..., 0, 1).
-    """
-    tau = [int(i in (0, m - 1)) for i in range(m)]
-    q = [[tau[i] * tau[j] for j in range(m)] for i in range(m)]
-    for i in range(m):
-        q[i][i] -= (m - 1) * (2 - tau[i])  # the degree is 2 - tau
-        if i + 1 < m:
-            q[i][i + 1] += m - 1
-            q[i + 1][i] += m - 1
-    return q
-
-
-def _build_transport(dg, dh, k: int, s: int) -> Optional[IntMatrix]:
-    # The matrices split into quadrants [[P, A^T], [A, P]] (dg) and
-    # [[P, B^T], [B, P]] (dh) over the same path matrix P[i][j] = |i-j|;
-    # N = [[I, 0], [X, T]] with X = (A - T B) P^{-1} is the candidate transport
-    # of D(H) to D(G). Returns the lower rows [X | T] of N if X is integral,
-    # else None; the top rows [I, 0] are implicit, and theta_congruence_checks
-    # checks that N transports.
+def _build_transport(k: int, s: int) -> IntMatrix:
+    # The lower rows [X | T] of N = [[I, 0], [X, T]], which transports
+    # D(H) to D(G); the top rows [I, 0] are implicit, and
+    # theta_congruence_checks checks that N transports. With m = k + s and
+    # 0-based columns, row 0 of X is zero, row 1 is e_0 - e_s and rows
+    # 2..m-1 are each e_{s-1} - e_s.
     m = k + s
-    p = [[abs(i - j) for j in range(m)] for i in range(m)]
-    for mat in (dg, dh):
-        if [row[:m] for row in mat[:m]] != p or [row[m:] for row in mat[m:]] != p:
-            return None
-    a = [row[:m] for row in dg[m:]]
-    b = [row[:m] for row in dh[m:]]
+    x = [[0] * m for _ in range(m)]
+    x[1][0], x[1][s] = 1, -1
+    for row in x[2:]:
+        row[s - 1], row[s] = 1, -1
     t = _transfer_matrix(k, s)
-    scale = 2 * (m - 1)
-    x_scaled = mat_mul(mat_sub(a, mat_mul(t, b)), _path_inverse_scaled(m))
-    if any(entry % scale for row in x_scaled for entry in row):
-        return None
-    return [[entry // scale for entry in x_scaled[i]] + t[i] for i in range(m)]
+    return [x_row + t_row for x_row, t_row in zip(x, t)]
 
 
 def _transport_product(xt: IntMatrix, d: IntMatrix) -> IntMatrix:
@@ -162,12 +135,12 @@ def theta_congruence_checks(k: int, s: int) -> tuple[bool, bool]:
     H = theta(1,2s,2k) and G = theta(1,2s-2,2k+2), plain and with the pendant
     vertex H' and G'.
 
-    N = [[I, 0], [X, T]] is reconstructed in integers from the 2(k+s)-vertex
-    cores of D(H') and D(G') and extended by a 1 block for the pendant vertex
-    to N'. N is block lower triangular, so det N = det T; with det T = +-1, so
-    that the congruence preserves the determinant, one product N' D(H') N'^T
-    is formed blockwise. pendant_ok: it equals D(G') entry by entry.
-    plain_ok: the cores equal the plain D(H) and D(G), and the product's
+    N = [[I, 0], [X, T]] is the closed-form integer matrix of _build_transport,
+    extended by a 1 block for the pendant vertex to N'. N is block lower
+    triangular, so det N = det T; with det T = +-1, so that the congruence
+    preserves the determinant, one product N' D(H') N'^T is formed blockwise.
+    pendant_ok: it equals D(G') entry by entry. plain_ok: the 2(k+s)-vertex
+    cores of D(H') and D(G') equal the plain D(H) and D(G), and the product's
     leading core block, which is N core(D(H')) N^T, equals D(G).
     """
     if k < 2 or s < 2:
@@ -179,9 +152,7 @@ def theta_congruence_checks(k: int, s: int) -> tuple[bool, bool]:
     dg_p = distance_matrix(labeled_theta(k + 1, s - 1, pendant=True))
     core_h = [row[:size] for row in dh_p[:size]]
     core_g = [row[:size] for row in dg_p[:size]]
-    xt = _build_transport(core_g, core_h, k, s)
-    if xt is None:
-        return False, False
+    xt = _build_transport(k, s)
     det_n = bareiss_detcof([row[m:] for row in xt]).det
     if det_n * det_n != 1:
         return False, False
@@ -228,7 +199,8 @@ def verify_graph(g: Graph) -> VerifyReport:
     and block_oracle, the block oracle that det_cof_closed runs on its
     unsupported blocks. Here it values every block, eliminates each distinct
     block once, and raises BlockTooLargeError when the blocks are over its
-    budget. The whole-graph oracle, which never decomposes, guards that
+    budget; that refusal counts distinct blocks, supported ones included.
+    The whole-graph oracle, which never decomposes, guards that
     decomposition. Each block's value in the closed form must equal that
     block's own oracle value, and an ArithmeticError from the closed form's
     cross-check fails the graph with closed None; the note names either

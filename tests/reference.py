@@ -5,13 +5,19 @@ elimination in integers only. These routines check it from outside: rational
 Gaussian elimination and Gauss-Jordan inversion over Fraction, first-row
 cofactor expansion, and the cofactor sum both as det(A + J) - det(A) and
 straight from its definition. Matrix products are the triple loop of their
-definition, and the theta congruence transport is multiplied out densely over
-the full bordered matrix N'.
+definition.
+
+The package writes the theta congruence transport N = [[I, 0], [X, T]] in
+closed form and forms its product blockwise. Here N is reconstructed from the
+two distance matrices through Graham and Lovasz's path inverse, and the
+product is multiplied out densely over the full bordered matrix N'.
 
 The package finds and classifies blocks in one lowpoint DFS that also decides
-connectivity. The two-pass decomposition here checks it: a BFS connectivity
-test first, then the DFS popping one edge at a time, then an explicit degree
-count per block.
+connectivity, and reads a theta block's path lengths off a walk between its
+branch vertices. The two-pass decomposition here checks it: a BFS
+connectivity test first, then the DFS popping one edge at a time, then an
+explicit degree count per block, and for a theta a BFS from each neighbour of
+one branch vertex to the other, with the first branch vertex removed.
 
 The package states the census formula once per distinct block kind. The
 per-block census here checks it: sorted cycle lengths and theta triples, each
@@ -23,7 +29,7 @@ from fractions import Fraction
 from math import prod
 from typing import Sequence
 
-from distdet.blocks import BlockKind, Cycle, Edge, Theta, Unsupported, theta_params
+from distdet.blocks import BlockKind, Cycle, Edge, Theta, Unsupported
 from distdet.graphs import DisconnectedGraphError, Graph
 
 # cost guard for the factorial-time cross-check routines
@@ -158,6 +164,47 @@ def dense_transport_product(xt, d) -> tuple[list[list[int]], Fraction]:
     return mat_mul_naive(mat_mul_naive(n, d), [list(col) for col in zip(*n)]), rat_det(n)
 
 
+def path_inverse_scaled(m: int) -> list[list[int]]:
+    """Q = 2(m-1) P^{-1} for the path distance matrix P = (|i-j|), m >= 2.
+
+    Graham and Lovasz: D(T)^{-1} = -L/2 + tau tau^T / (2(m-1)) for a tree T
+    on m vertices, L its Laplacian and tau = 2 - deg, so
+    Q = -(m-1) L + tau tau^T; for the path tau = (1, 0, ..., 0, 1).
+    """
+    tau = [int(i in (0, m - 1)) for i in range(m)]
+    q = [[tau[i] * tau[j] for j in range(m)] for i in range(m)]
+    for i in range(m):
+        q[i][i] -= (m - 1) * (2 - tau[i])  # the degree is 2 - tau
+        if i + 1 < m:
+            q[i][i + 1] += m - 1
+            q[i + 1][i] += m - 1
+    return q
+
+
+def reconstructed_transport(dg, dh, t):
+    """The lower rows [X | T] of the transport N = [[I, 0], [X, T]] of dh to
+    dg, reconstructed from the matrices themselves, or None.
+
+    dg and dh split into quadrants [[P, A^T], [A, P]] and [[P, B^T], [B, P]]
+    over the same path matrix P = (|i-j|) of order m = len(t). Then
+    N dh N^T = dg forces X = (A - T B) P^{-1}, which is formed as
+    (A - T B) Q / (2(m-1)) with Q from path_inverse_scaled. None when the
+    quadrants are not P or X is not integral.
+    """
+    m = len(t)
+    p = [[abs(i - j) for j in range(m)] for i in range(m)]
+    for mat in (dg, dh):
+        if [row[:m] for row in mat[:m]] != p or [row[m:] for row in mat[m:]] != p:
+            return None
+    a = [row[:m] for row in dg[m:]]
+    tb = mat_mul_naive(t, [row[:m] for row in dh[m:]])
+    scale = 2 * (m - 1)
+    x_scaled = mat_mul_naive([[x - y for x, y in zip(r, s)] for r, s in zip(a, tb)], path_inverse_scaled(m))
+    if any(entry % scale for row in x_scaled for entry in row):
+        return None
+    return [[entry // scale for entry in x_scaled[i]] + list(t[i]) for i in range(m)]
+
+
 def is_connected(g: Graph) -> bool:
     """Connectivity by one BFS from vertex 0."""
     if g.n <= 1:
@@ -247,8 +294,31 @@ def classify_block(b: frozenset[tuple[int, int]]) -> BlockKind:
     if ne == nv + 1:
         degree_three = sum(1 for d in deg.values() if d == 3)
         if degree_three == 2 and all(d in (2, 3) for d in deg.values()):
-            return Theta(*theta_params(b))
+            return Theta(*theta_triple(b))
     return Unsupported(f"{nv} vertices, {ne} edges, degrees {sorted(deg.values())}")
+
+
+def theta_triple(b: frozenset[tuple[int, int]]) -> tuple[int, int, int]:
+    """Sorted path lengths of a theta block: with one branch vertex removed,
+    each of its three neighbours lies on one path, and a BFS from it to the
+    other branch vertex is one step shorter than that path."""
+    adj: dict[int, list[int]] = {}
+    for u, v in b:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    start, goal = (v for v in adj if len(adj[v]) == 3)
+    lengths = []
+    for first in adj[start]:
+        dist = {first: 0}
+        queue = deque([first])
+        while goal not in dist:
+            u = queue.popleft()
+            for w in adj[u]:
+                if w != start and w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        lengths.append(dist[goal] + 1)
+    return tuple(sorted(lengths))
 
 
 def classify_graph(g: Graph) -> list[tuple[frozenset[tuple[int, int]], BlockKind]]:

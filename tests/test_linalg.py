@@ -11,7 +11,6 @@ from distdet.linalg import (
     identity,
     mat_mul,
     mat_scale,
-    mat_sub,
     mat_vec,
     transpose,
 )
@@ -163,7 +162,6 @@ def test_rat_det_singular_is_zero():
 def test_matrix_helpers():
     a = [[1, 2], [3, 4]]
     assert transpose(a) == [[1, 3], [2, 4]]
-    assert mat_sub(a, a) == [[0, 0], [0, 0]]
     assert mat_mul(a, identity(2)) == a
     assert mat_scale(2, a) == [[2, 4], [6, 8]]
     assert mat_vec(a, [1, 1]) == [3, 7]
@@ -195,8 +193,6 @@ def test_products_match_naive_loops(operands):
 
 
 def test_matrix_helpers_reject_shape_mismatch():
-    with pytest.raises(ValueError):
-        mat_sub([[1]], [[1, 2]])
     with pytest.raises(ValueError):
         mat_mul([[1, 2]], [[1, 2]])
     with pytest.raises(ValueError):

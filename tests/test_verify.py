@@ -28,7 +28,6 @@ from distdet.cli import CONGRUENCE_RANGE, INVERSE_K_MAX, main
 from distdet.verify import (
     _build_transport,
     _cycle_inverse_scaled,
-    _path_inverse_scaled,
     _transfer_matrix,
     _transport_product,
     cycle_inverse_checks,
@@ -39,7 +38,7 @@ from distdet.verify import (
     verify_graph,
 )
 from distdet.blocks import biconnected_components, block_subgraph
-from reference import dense_transport_product, rat_inverse
+from reference import dense_transport_product, path_inverse_scaled, rat_inverse, reconstructed_transport
 
 
 def complete_graph(n):
@@ -132,7 +131,7 @@ def test_verify_runs_each_proof_once(monkeypatch, capsys):
 def test_scaled_inverses_match_rational_reference(family, size):
     # the integer closed forms against Fraction Gauss-Jordan on the matrix itself
     if family == "path":
-        scale, scaled = 2 * (size - 1), _path_inverse_scaled(size)
+        scale, scaled = 2 * (size - 1), path_inverse_scaled(size)
         matrix = [[abs(i - j) for j in range(size)] for i in range(size)]
     else:
         scale, scaled = size * (size + 1), _cycle_inverse_scaled(size)
@@ -142,13 +141,20 @@ def test_scaled_inverses_match_rational_reference(family, size):
 
 
 def _transport_rows(k, s):
-    """[X | T] for the pair (k, s), built from the cores of D(H') and D(G')."""
+    """[X | T] for the pair (k, s)."""
+    return _build_transport(k, s)
+
+
+@pytest.mark.parametrize("k, s", [(k, s) for k in range(2, 11) for s in range(2, 11)])
+def test_closed_form_transport_matches_reconstruction(k, s):
+    # the closed form against X = (A - T B) P^{-1}, reconstructed from the
+    # cores of D(H') and D(G') through Graham and Lovasz's path inverse
     size = 2 * (k + s)
     core_h, core_g = (
         [row[:size] for row in distance_matrix(labeled_theta(a, b, pendant=True))[:size]]
         for a, b in ((k, s), (k + 1, s - 1))
     )
-    return _build_transport(core_g, core_h, k, s)
+    assert _build_transport(k, s) == reconstructed_transport(core_g, core_h, _transfer_matrix(k, s))
 
 
 @pytest.mark.parametrize("k, s", [(k, s) for k in CONGRUENCE_RANGE for s in CONGRUENCE_RANGE])
@@ -241,7 +247,7 @@ class TestProofChecksRejectBadInput:
         # det N = 1 but N = I, given by its lower rows X = 0 and T = I, does
         # not transport D(H) to D(G): both products reject
         monkeypatch.setattr(
-            distdet.verify, "_build_transport", lambda dg, dh, k, s: [[0] * (k + s) + row for row in identity(k + s)]
+            distdet.verify, "_build_transport", lambda k, s: [[0] * (k + s) + row for row in identity(k + s)]
         )
         assert theta_congruence_checks(k, s) == (False, False)
 
@@ -276,10 +282,9 @@ class TestProofChecksRejectBadInput:
 
 def test_identity_families_stay_fast():
     # every identity family over the ranges `verify` runs; the integer forms,
-    # each proved once with the theta transport formed blockwise, take about
-    # 0.05 s on a shared 2-core x86-64 machine (0.09 s with the dense product),
-    # rational Gauss-Jordan inverses took 1.2-1.5 s there, so the bound catches
-    # their return
+    # each proved once from a closed-form matrix, take about 0.02 s on a
+    # shared 2-core x86-64 machine with CPython 3.11; rational Gauss-Jordan
+    # inverses took 1.2-1.5 s there, so the bound catches their return
     pairs = [(k, s) for k in CONGRUENCE_RANGE for s in CONGRUENCE_RANGE]
     start = time.perf_counter()
     assert all(cycle_inverse_checks(k) == (True, True) for k in range(1, INVERSE_K_MAX + 1))
@@ -360,6 +365,8 @@ class TestVerifyGraph:
         with pytest.raises(BlockTooLargeError) as info:
             verify_graph(g)
         assert info.value.vertex_counts == (5, 2)
+        # the pendant edge is a supported block, so the refusal does not call both unsupported
+        assert str(info.value).startswith("2 distinct block(s) of 7 vertices in all are over the block oracle budget")
 
     def test_json_dict_schema(self):
         report = verify_graph(path_graph(3))
