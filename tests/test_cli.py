@@ -325,7 +325,23 @@ def test_gen_spec_round_trip(chunks, seed):
         assert census(kind for _, kind in classify_graph(parse_edge_list(out.getvalue()))) == expected
 
 
+VERIFY_GOLDEN = """\
+graphs: 20/20 passed
+cycle inverse identity (k<=12): 12/12
+scalar identities (k<=12): 12/12
+theta congruence (k,s in 2..6): 25/25
+theta pendant congruence (k,s in 2..6): 25/25
+PASS
+"""
+
+
 class TestVerify:
+    @pytest.mark.parametrize("seed", ["0", "3", "7"])
+    def test_output_is_golden(self, seed, capsys):
+        # the whole text, every identity line included, not a substring of it
+        assert main(["verify", "--count", "20", "--max-n", "40", "--seed", seed]) == 0
+        assert capsys.readouterr().out == VERIFY_GOLDEN
+
     def test_small_run_passes(self, capsys):
         assert main(["verify", "--count", "5", "--max-n", "15", "--seed", "1"]) == 0
         out = capsys.readouterr().out
