@@ -100,24 +100,6 @@ def cycle_detcof(n: int) -> DetCof:
     return DetCof((n * n - 1) // 4, n)
 
 
-def unicyclic_det(l: int, m: int) -> int:
-    """det for one cycle C_l plus m tree edges, any placement: odd l gives
-    (-2)^m (l^2 + 2ml - 1)/4, even l gives 0."""
-    return cactus_det((l,), m)
-
-
-def cactus_det(cycle_lengths: Iterable[int], m: int) -> int:
-    """det for a cactus of cycles C_{l_1}..C_{l_c} plus m tree edges, by the census formula."""
-    counts = census(map(Cycle, cycle_lengths))
-    if m < 0:
-        raise ValueError("edge count must be non-negative")
-    for cycle in counts:
-        if cycle.length < 3:
-            raise ValueError(f"cycle length {cycle.length} < 3")
-    counts[Edge()] = m
-    return _census_formula(counts).det
-
-
 def theta_detcof(l: int, p: int, q: int) -> DetCof:
     """(det, cof) of the theta graph with path lengths l <= p <= q."""
     l, p, q = check_theta_triple(l, p, q)
@@ -130,34 +112,6 @@ def theta_detcof(l: int, p: int, q: int) -> DetCof:
     if family == "two-two-odd":
         return DetCof(q * q - 5, 4 * q - 8)
     return DetCof(0, 0)
-
-
-def theta_prime_det(l: int, p: int, q: int) -> int:
-    """det of a theta graph with one pendant edge (any attachment vertex)."""
-    l, p, q = check_theta_triple(l, p, q)
-    family = theta_family(l, p, q)
-    if family == "one-even-even":
-        n = p + q
-        return ((1 + n) ** 2 - 1) // 2
-    if family == "two-two-two":
-        # forced by the pendant-edge composition with (det, cof) = (-16, -16)
-        # for the 6-vertex block: -2*det - cof = 48
-        return 48
-    if family == "two-two-odd":
-        return -2 * (q * q + 2 * q - 9)
-    return 0
-
-
-def theta_path_det(p: int, q: int, m: int) -> int:
-    """det of theta(1, p, q), p and q even, with a path of m edges glued to a
-    degree-3 vertex: -n(n+2m)(-2)^(m-2) where n = p + q."""
-    if p % 2 or q % 2:
-        raise ValueError("p and q must be even")
-    check_theta_triple(1, p, q)
-    if m < 0:
-        raise ValueError("path length must be non-negative")
-    n = p + q
-    return _exact_int(Fraction(-n * (n + 2 * m)) * Fraction(-2) ** (m - 2))
 
 
 def compose_ghh(blocks: Iterable[DetCof]) -> DetCof:

@@ -3,10 +3,11 @@
 Everything here is exact: the oracle runs fraction-free elimination on the
 actual distance matrix, and each identity checker writes down a closed-form
 integer matrix (an inverse scaled to integers, or a congruence transport),
-checks one determinant and compares one product entry by entry. verify_graph
-ties the three computations together (oracle, block composition over
-per-block oracles, closed form) for one graph, and fuzz_campaign runs that
-over a deterministic stream of random block graphs.
+checks one determinant and compares one product entry by entry. CLAIMS lists
+the identities that `verify` proves, with the parameters and printed labels
+of each. verify_graph ties the three computations together (oracle, block
+composition over per-block oracles, closed form) for one graph, and
+fuzz_campaign runs that over a deterministic stream of random block graphs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .blocks import block_row, classify_graph
 from .formulas import MAX_ORACLE_BLOCK, block_oracle, compose_ghh, det_cof_closed
@@ -159,6 +160,38 @@ def theta_congruence_checks(k: int, s: int) -> tuple[bool, bool]:
     product = _transport_product(xt, dh_p)
     plain_ok = core_h == dh and core_g == dg and [row[:size] for row in product[:size]] == dg
     return plain_ok, product == dg_p
+
+
+class Claim(NamedTuple):
+    """One identity checker and what `verify` runs it on: labels names each
+    verdict its check returns, in order, and params holds one argument tuple
+    per run. check is the checker's name in this module, looked up at each
+    tally, so that a binding patched from outside is the one that runs."""
+
+    labels: tuple[str, ...]
+    check: str
+    params: tuple[tuple[int, ...], ...]
+
+
+CLAIMS = (
+    Claim(
+        ("cycle inverse identity (k<=12)", "scalar identities (k<=12)"),
+        "cycle_inverse_checks",
+        tuple((k,) for k in range(1, 13)),
+    ),
+    Claim(
+        ("theta congruence (k,s in 2..6)", "theta pendant congruence (k,s in 2..6)"),
+        "theta_congruence_checks",
+        tuple((k, s) for k in range(2, 7) for s in range(2, 7)),
+    ),
+)
+
+
+def claim_tallies(claim: Claim) -> list[int]:
+    """How many of claim.params pass, for each verdict column; the check
+    runs once per parameter and feeds every column."""
+    check = globals()[claim.check]
+    return [sum(column) for column in zip(*(check(*args) for args in claim.params))]
 
 
 @dataclass

@@ -22,15 +22,22 @@ one branch vertex to the other, with the first branch vertex removed.
 The package states the census formula once per distinct block kind. The
 per-block census here checks it: sorted cycle lengths and theta triples, each
 theta family filtered out of the triples, and one Fraction term per block.
+
+The paper's special-case lemmas live here too, since nothing in the package
+needs them: unicyclic_det and cactus_det are the package's own census formula
+over cycles and tree edges, so that checking them against the oracle checks
+the shipped formula, while theta_prime_det and theta_path_det state the
+determinant of a theta with a pendant edge and with an attached path.
 """
 
 from collections import Counter, deque
 from fractions import Fraction
 from math import prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from distdet.blocks import BlockKind, Cycle, Edge, Theta, Unsupported
-from distdet.graphs import DisconnectedGraphError, Graph
+from distdet.blocks import BlockKind, Cycle, Edge, Theta, Unsupported, census, theta_family
+from distdet.formulas import _census_formula
+from distdet.graphs import DisconnectedGraphError, Graph, check_theta_triple
 
 # cost guard for the factorial-time cross-check routines
 _MINOR_LIMIT = 8
@@ -354,3 +361,52 @@ def census_formula(kinds: Sequence[BlockKind]) -> tuple[int, int]:
     det = sum(terms, Fraction(0)) * cof
     assert det.denominator == 1
     return int(det), cof
+
+
+def unicyclic_det(l: int, m: int) -> int:
+    """det for one cycle C_l plus m tree edges, any placement: odd l gives
+    (-2)^m (l^2 + 2ml - 1)/4, even l gives 0."""
+    return cactus_det((l,), m)
+
+
+def cactus_det(cycle_lengths: Iterable[int], m: int) -> int:
+    """det for a cactus of cycles C_{l_1}..C_{l_c} plus m tree edges, by the
+    package's census formula."""
+    counts = census(map(Cycle, cycle_lengths))
+    if m < 0:
+        raise ValueError("edge count must be non-negative")
+    for cycle in counts:
+        if cycle.length < 3:
+            raise ValueError(f"cycle length {cycle.length} < 3")
+    counts[Edge()] = m
+    return _census_formula(counts).det
+
+
+def theta_prime_det(l: int, p: int, q: int) -> int:
+    """det of a theta graph with one pendant edge (any attachment vertex)."""
+    l, p, q = check_theta_triple(l, p, q)
+    family = theta_family(l, p, q)
+    if family == "one-even-even":
+        n = p + q
+        return ((1 + n) ** 2 - 1) // 2
+    if family == "two-two-two":
+        # forced by the pendant-edge composition with (det, cof) = (-16, -16)
+        # for the 6-vertex block: -2*det - cof = 48
+        return 48
+    if family == "two-two-odd":
+        return -2 * (q * q + 2 * q - 9)
+    return 0
+
+
+def theta_path_det(p: int, q: int, m: int) -> int:
+    """det of theta(1, p, q), p and q even, with a path of m edges glued to a
+    degree-3 vertex: -n(n+2m)(-2)^(m-2) where n = p + q."""
+    if p % 2 or q % 2:
+        raise ValueError("p and q must be even")
+    check_theta_triple(1, p, q)
+    if m < 0:
+        raise ValueError("path length must be non-negative")
+    n = p + q
+    det = Fraction(-n * (n + 2 * m)) * Fraction(-2) ** (m - 2)
+    assert det.denominator == 1
+    return int(det)

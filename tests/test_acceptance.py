@@ -9,16 +9,7 @@ import statistics
 import time
 
 from distdet.blocks import biconnected_components, classify_block
-from distdet.formulas import (
-    block_detcof,
-    compose_ghh,
-    cycle_detcof,
-    det_cof_closed,
-    theta_detcof,
-    theta_path_det,
-    theta_prime_det,
-    unicyclic_det,
-)
+from distdet.formulas import block_detcof, compose_ghh, cycle_detcof, det_cof_closed, theta_detcof
 from distdet.graphs import (
     BlockRequest,
     attach_path,
@@ -31,7 +22,15 @@ from distdet.graphs import (
 )
 from distdet.linalg import bareiss_detcof
 from distdet.verify import cycle_inverse_checks, det_cof_oracle, fuzz_campaign, theta_congruence_checks
-from reference import cof_sum, cof_sum_minors, det_cofactor_expansion, rat_det
+from reference import (
+    cof_sum,
+    cof_sum_minors,
+    det_cofactor_expansion,
+    rat_det,
+    theta_path_det,
+    theta_prime_det,
+    unicyclic_det,
+)
 
 
 def test_criterion_01_cycles():

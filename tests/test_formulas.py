@@ -13,15 +13,11 @@ from distdet.formulas import (
     _census_formula,
     block_detcof,
     block_oracle,
-    cactus_det,
     compose_ghh,
     cycle_detcof,
     det_cof_closed,
     edge_detcof,
     theta_detcof,
-    theta_path_det,
-    theta_prime_det,
-    unicyclic_det,
 )
 from distdet.graphs import (
     BlockRequest,
@@ -37,6 +33,7 @@ from distdet.graphs import (
 from distdet.linalg import DetCof
 from distdet.verify import det_cof_oracle
 import reference
+from reference import cactus_det, theta_path_det, theta_prime_det, unicyclic_det
 
 
 def test_edge_values():

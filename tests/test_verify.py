@@ -24,8 +24,9 @@ from distdet.graphs import (
 from distdet.blocks import theta_family
 from distdet.formulas import BlockTooLargeError, det_cof_closed
 from distdet.linalg import DetCof, bareiss_detcof, identity
-from distdet.cli import CONGRUENCE_RANGE, INVERSE_K_MAX, main
+from distdet.cli import main
 from distdet.verify import (
+    CLAIMS,
     _build_transport,
     _cycle_inverse_scaled,
     _transfer_matrix,
@@ -39,6 +40,10 @@ from distdet.verify import (
 )
 from distdet.blocks import biconnected_components, block_subgraph
 from reference import dense_transport_product, path_inverse_scaled, rat_inverse, reconstructed_transport
+
+
+# each claim's argument tuples, by the name of its check
+CLAIM_PARAMS = {claim.check: claim.params for claim in CLAIMS}
 
 
 def complete_graph(n):
@@ -121,12 +126,45 @@ def test_verify_runs_each_proof_once(monkeypatch, capsys):
         monkeypatch.setattr(distdet.verify, name, counted)
     assert main(["verify", "--count", "1", "--max-n", "10"]) == 0
     assert capsys.readouterr().out.endswith("PASS\n")
-    assert calls == {"_cycle_inverse_scaled": INVERSE_K_MAX, "_build_transport": len(CONGRUENCE_RANGE) ** 2}
+    assert calls == {"_cycle_inverse_scaled": 12, "_build_transport": 25}
+
+
+# by printed label: the check behind it, the one parameter at which its
+# verdict is flipped, and the verdict's column in the check's result
+FLIPS = {
+    "cycle inverse identity (k<=12)": ("cycle_inverse_checks", (5,), 0),
+    "scalar identities (k<=12)": ("cycle_inverse_checks", (5,), 1),
+    "theta congruence (k,s in 2..6)": ("theta_congruence_checks", (3, 4), 0),
+    "theta pendant congruence (k,s in 2..6)": ("theta_congruence_checks", (3, 4), 1),
+}
+
+
+@pytest.mark.parametrize("label", list(FLIPS))
+def test_each_verdict_column_fails_on_its_own(label, monkeypatch, capsys):
+    # the check is patched where distdet.verify binds it, so this also shows
+    # that verify looks each check up when it runs
+    name, at, column = FLIPS[label]
+    original = getattr(distdet.verify, name)
+
+    def flipped(*args):
+        verdicts = list(original(*args))
+        if args == at:
+            verdicts[column] = not verdicts[column]
+        return tuple(verdicts)
+
+    monkeypatch.setattr(distdet.verify, name, flipped)
+    assert main(["verify", "--count", "2", "--max-n", "10"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    totals = {"cycle_inverse_checks": 12, "theta_congruence_checks": 25}
+    expected = [
+        f"{other}: {totals[check] - (other == label)}/{totals[check]}" for other, (check, _, _) in FLIPS.items()
+    ]
+    assert lines == ["graphs: 2/2 passed"] + expected + ["FAIL"]
 
 
 @pytest.mark.parametrize(
     "family, size",
-    [("path", m) for m in range(2, 31)] + [("cycle", k) for k in range(1, INVERSE_K_MAX + 1)],
+    [("path", m) for m in range(2, 31)] + [("cycle", k) for (k,) in CLAIM_PARAMS["cycle_inverse_checks"]],
 )
 def test_scaled_inverses_match_rational_reference(family, size):
     # the integer closed forms against Fraction Gauss-Jordan on the matrix itself
@@ -157,7 +195,7 @@ def test_closed_form_transport_matches_reconstruction(k, s):
     assert _build_transport(k, s) == reconstructed_transport(core_g, core_h, _transfer_matrix(k, s))
 
 
-@pytest.mark.parametrize("k, s", [(k, s) for k in CONGRUENCE_RANGE for s in CONGRUENCE_RANGE])
+@pytest.mark.parametrize("k, s", CLAIM_PARAMS["theta_congruence_checks"])
 def test_blockwise_transport_matches_dense_reference(k, s):
     # the blockwise N' D(H') N'^T and det T against the full N' multiplied out
     xt = _transport_rows(k, s)
@@ -285,10 +323,9 @@ def test_identity_families_stay_fast():
     # each proved once from a closed-form matrix, take about 0.02 s on a
     # shared 2-core x86-64 machine with CPython 3.11; rational Gauss-Jordan
     # inverses took 1.2-1.5 s there, so the bound catches their return
-    pairs = [(k, s) for k in CONGRUENCE_RANGE for s in CONGRUENCE_RANGE]
     start = time.perf_counter()
-    assert all(cycle_inverse_checks(k) == (True, True) for k in range(1, INVERSE_K_MAX + 1))
-    assert all(theta_congruence_checks(k, s) == (True, True) for k, s in pairs)
+    assert all(cycle_inverse_checks(*args) == (True, True) for args in CLAIM_PARAMS["cycle_inverse_checks"])
+    assert all(theta_congruence_checks(*args) == (True, True) for args in CLAIM_PARAMS["theta_congruence_checks"])
     assert time.perf_counter() - start < 1.0
 
 
