@@ -7,7 +7,8 @@ matrices must come out bit-exact.
 
 from __future__ import annotations
 
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 from typing import NamedTuple, Sequence
 
 IntMatrix = list[list[int]]
@@ -27,24 +28,25 @@ def _square_size(a: Sequence[Sequence]) -> int:
     return n
 
 
-def identity(n: int) -> IntMatrix:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
-
-
 def mat_mul(a, b):
-    """Matrix product, exact in whatever numeric type the entries carry."""
+    """Matrix product, exact in whatever numeric type the entries carry. Each
+    row is a combination of b's rows over the nonzeros of a's row, so a sparse
+    left factor costs only its nonzeros."""
     if a and b and len(a[0]) != len(b):
         raise ValueError(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
-    bt = transpose(b)
-    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+    width = len(b[0]) if b else 0
+    product = []
+    for row in a:
+        acc = [0] * width
+        for x, b_row in zip(row, b):
+            if x:
+                acc = list(map(add, acc, map(mul, repeat(x), b_row)))
+        product.append(acc)
+    return product
 
 
 def mat_vec(a, v):
@@ -90,9 +92,12 @@ def bareiss_detcof(a: Sequence[Sequence[int]]) -> DetCof:
         for i in range(k + 1, n + 1):
             row_i = m[i]
             f = row_i[k]
-            if f:
+            # dividing by prev = 1, and rescaling a row with f = 0 by pivot / prev = 1, change nothing
+            if f and prev == 1:
+                row_i[k + 1 :] = [x * pivot - f * y for x, y in zip(row_i[k + 1 :], row_k)]
+            elif f:
                 row_i[k + 1 :] = [(x * pivot - f * y) // prev for x, y in zip(row_i[k + 1 :], row_k)]
-            else:
+            elif pivot != prev:
                 row_i[k + 1 :] = [(x * pivot) // prev for x in row_i[k + 1 :]]
         prev = pivot
     return DetCof(det, -sign * m[n][n])

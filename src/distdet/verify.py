@@ -3,11 +3,14 @@
 Everything here is exact: the oracle runs fraction-free elimination on the
 actual distance matrix, and each identity checker writes down a closed-form
 integer matrix (an inverse scaled to integers, or a congruence transport),
-checks one determinant and compares one product entry by entry. CLAIMS lists
-the identities that `verify` proves, with the parameters and printed labels
-of each. verify_graph ties the three computations together (oracle, block
-composition over per-block oracles, closed form) for one graph, and
-fuzz_campaign runs that over a deterministic stream of random block graphs.
+checks one determinant and compares one product with its target entry by
+entry. The theta transport is sparse, so its product is formed blockwise over
+its nonzeros; the cycle matrices are circulant, so only the first row of
+their product is formed. CLAIMS lists the identities that `verify` proves,
+with the parameters and printed labels of each. verify_graph ties the three
+computations together (oracle, block composition over per-block oracles,
+closed form) for one graph, and fuzz_campaign runs that over a deterministic
+stream of random block graphs.
 """
 
 from __future__ import annotations
@@ -31,9 +34,7 @@ from .linalg import (
     DetCof,
     IntMatrix,
     bareiss_detcof,
-    identity,
     mat_mul,
-    mat_scale,
     mat_vec,
     transpose,
 )
@@ -45,13 +46,23 @@ def det_cof_oracle(g: Graph) -> DetCof:
     return bareiss_detcof(distance_matrix(g))
 
 
+def _cycle_inverse_formula(k: int) -> IntMatrix:
+    # k(k+1) times the paper's D^{-1} = -2I - C^k - C^{k+1} + (2k+1)/(k(k+1)) J, C the cyclic shift
+    n, scale = 2 * k + 1, k * (k + 1)
+    return [
+        [2 * k + 1 - scale * (2 * int(i == j) + int(j == (i + k) % n) + int(j == (i + k + 1) % n)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
 def _cycle_inverse_scaled(k: int) -> Optional[IntMatrix]:
     """S = k(k+1) D^{-1} for D = D(C_{2k+1}), proved, or None if a check fails.
 
-    The paper's inverse is D^{-1} = -2I - C^k - C^{k+1} + (2k+1)/(k(k+1)) J,
-    where C is the cyclic shift, so S = k(k+1)(-2I - C^k - C^{k+1}) + (2k+1)J
-    is an integer matrix. It is proved by det D = k(k+1) and D S = k(k+1) I,
-    multiplied out and compared entry by entry.
+    S is the paper's inverse scaled to integers by _cycle_inverse_formula. It
+    is proved by det D = k(k+1) and D S = k(k+1) I. D and S are checked entry
+    by entry to be circulant, each row its first row rotated, and a product of
+    circulant matrices is circulant, so D S = k(k+1) I follows from its first
+    row, which is compared with k(k+1) e_0.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -60,13 +71,10 @@ def _cycle_inverse_scaled(k: int) -> Optional[IntMatrix]:
     d = distance_matrix(cycle_graph(n))
     if bareiss_detcof(d).det != scale:
         return None
-    s = [
-        [2 * k + 1 - scale * (2 * int(i == j) + int(j == (i + k) % n) + int(j == (i + k + 1) % n)) for j in range(n)]
-        for i in range(n)
-    ]
-    if mat_mul(d, s) != mat_scale(scale, identity(n)):
+    s = _cycle_inverse_formula(k)
+    if not all(len(a) == len(a[0]) == n and all(row == a[0][-i:] + a[0][:-i] for i, row in enumerate(a)) for a in (d, s)):
         return None
-    return s
+    return s if mat_vec(transpose(s), d[0]) == [scale] + [0] * (n - 1) else None
 
 
 def cycle_inverse_checks(k: int) -> tuple[bool, bool]:

@@ -142,6 +142,10 @@ def cof_sum_minors(a: Sequence[Sequence[int]]) -> int:
     return total
 
 
+def identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def mat_mul_naive(a, b):
     """Matrix product by the triple loop of its definition."""
     out = [[0] * len(b[0]) for _ in a]

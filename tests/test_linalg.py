@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distdet.graphs import Graph, cycle_graph, distance_matrix, path_graph
 from distdet.linalg import (
     DetCof,
     bareiss_detcof,
-    identity,
     mat_mul,
-    mat_scale,
     mat_vec,
     transpose,
 )
@@ -19,6 +18,7 @@ from reference import (
     cof_sum,
     cof_sum_minors,
     det_cofactor_expansion,
+    identity,
     mat_mul_naive,
     mat_vec_naive,
     rat_det,
@@ -98,10 +98,20 @@ def test_rank_one_shift_identity(m, x):
 @st.composite
 def detcof_matrix(draw):
     """Integer matrices up to 8 x 8 with small entries, so many are singular;
-    a zeroed column leaves the border row as that column's only usable pivot."""
-    n = draw(st.integers(min_value=1, max_value=8))
-    m = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n))
-    shape = draw(st.sampled_from(["any", "zero column", "repeated row"]))
+    a zeroed column leaves the border row as that column's only usable pivot.
+    The distance matrices of paths, trees and cycles, and {-1, 0, 1} matrices,
+    reach the updates the pass skips: their unit pivots keep the divisor at 1,
+    and their zeros and repeated pivots leave rows that need no rescaling."""
+    shape = draw(st.sampled_from(["any", "zero column", "repeated row", "path", "tree", "cycle", "signs"]))
+    n = draw(st.integers(min_value=3 if shape == "cycle" else 1, max_value=8))
+    if shape == "path":
+        return distance_matrix(path_graph(n))
+    if shape == "tree":
+        return distance_matrix(Graph.from_edges(n, [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]))
+    if shape == "cycle":
+        return distance_matrix(cycle_graph(n))
+    bound = 1 if shape == "signs" else 3
+    m = draw(st.lists(st.lists(st.integers(-bound, bound), min_size=n, max_size=n), min_size=n, max_size=n))
     if shape == "zero column":
         column = draw(st.integers(0, n - 1))
         for row in m:
@@ -163,22 +173,27 @@ def test_matrix_helpers():
     a = [[1, 2], [3, 4]]
     assert transpose(a) == [[1, 3], [2, 4]]
     assert mat_mul(a, identity(2)) == a
-    assert mat_scale(2, a) == [[2, 4], [6, 8]]
+    assert mat_mul([[0, 0], [0, 1]], a) == [[0, 0], [3, 4]]
     assert mat_vec(a, [1, 1]) == [3, 7]
 
 
 @st.composite
 def product_operands(draw):
-    """a (p x q), b (q x r) and v (q) whose entries are all int or all Fraction."""
-    entries = draw(
-        st.sampled_from([st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=7)])
+    """a (p x q), b (q x r) and v (q) whose entries are all int or all Fraction;
+    a has any density from all-zero to dense, with some of its rows zeroed,
+    and p or r may be 0."""
+    entries, zero = draw(
+        st.sampled_from(
+            [(st.integers(-9, 9), 0), (st.fractions(min_value=-9, max_value=9, max_denominator=7), Fraction(0))]
+        )
     )
-    p, q, r = (draw(st.integers(1, 5)) for _ in range(3))
-
-    def matrix(rows, cols):
-        return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
-
-    return matrix(p, q), matrix(q, r), draw(st.lists(entries, min_size=q, max_size=q))
+    p, q, r = draw(st.integers(0, 5)), draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    quarters = draw(st.integers(0, 4))  # the share of a's entries drawn, not zero
+    a = [[draw(entries) if draw(st.integers(1, 4)) <= quarters else zero for _ in range(q)] for _ in range(p)]
+    for i in draw(st.sets(st.integers(0, p - 1))) if p else ():
+        a[i] = [zero] * q
+    b = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=q, max_size=q))
+    return a, b, draw(st.lists(entries, min_size=q, max_size=q))
 
 
 @settings(deadline=None)
@@ -190,6 +205,13 @@ def test_products_match_naive_loops(operands):
     assert image == mat_vec_naive(a, v)
     if all(type(x) is int for row in a for x in row):
         assert all(type(x) is int for row in product for x in row) and all(type(x) is int for x in image)
+
+
+def test_products_of_empty_shapes():
+    assert mat_mul([], [[1, 2]]) == []
+    assert mat_mul([[1, 2]], [[], []]) == [[]]
+    assert mat_mul([[]], []) == [[]]
+    assert mat_mul([], []) == []
 
 
 def test_matrix_helpers_reject_shape_mismatch():

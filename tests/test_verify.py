@@ -23,11 +23,12 @@ from distdet.graphs import (
 )
 from distdet.blocks import theta_family
 from distdet.formulas import BlockTooLargeError, det_cof_closed
-from distdet.linalg import DetCof, bareiss_detcof, identity
+from distdet.linalg import DetCof, bareiss_detcof
 from distdet.cli import main
 from distdet.verify import (
     CLAIMS,
     _build_transport,
+    _cycle_inverse_formula,
     _cycle_inverse_scaled,
     _transfer_matrix,
     _transport_product,
@@ -39,7 +40,14 @@ from distdet.verify import (
     verify_graph,
 )
 from distdet.blocks import biconnected_components, block_subgraph
-from reference import dense_transport_product, path_inverse_scaled, rat_inverse, reconstructed_transport
+from reference import (
+    dense_transport_product,
+    identity,
+    mat_mul_naive,
+    path_inverse_scaled,
+    rat_inverse,
+    reconstructed_transport,
+)
 
 
 # each claim's argument tuples, by the name of its check
@@ -178,6 +186,15 @@ def test_scaled_inverses_match_rational_reference(family, size):
     assert all(type(x) is int for row in scaled for x in row)
 
 
+@pytest.mark.parametrize("k", [k for (k,) in CLAIM_PARAMS["cycle_inverse_checks"]])
+def test_circulant_proof_agrees_with_the_dense_product(k):
+    # the first row of D S and two circulant checks against all of D S multiplied out
+    d = distance_matrix(cycle_graph(2 * k + 1))
+    s = _cycle_inverse_scaled(k)
+    assert s is not None and s == _cycle_inverse_formula(k)
+    assert mat_mul_naive(d, s) == [[k * (k + 1) * x for x in row] for row in identity(2 * k + 1)]
+
+
 def _transport_rows(k, s):
     """[X | T] for the pair (k, s)."""
     return _build_transport(k, s)
@@ -258,6 +275,69 @@ class TestProofChecksRejectBadInput:
         assert _cycle_inverse_scaled(k) is None
         assert cycle_inverse_checks(k) == (False, False)
 
+    @pytest.mark.parametrize("k, entry", [(1, (1, 2)), (2, (4, 0)), (3, (2, 2)), (6, (12, 5)), (12, (24, 24))])
+    def test_perturbed_inverse_outside_its_first_row(self, monkeypatch, k, entry):
+        # D is untouched and its determinant blinded
+        original = distdet.verify._cycle_inverse_formula
+        monkeypatch.setattr(distdet.verify, "_cycle_inverse_formula", lambda k: _perturb(original(k), *entry))
+        monkeypatch.setattr(distdet.verify, "bareiss_detcof", lambda d: DetCof(k * (k + 1), 0))
+        assert entry[0] > 0
+        assert _cycle_inverse_scaled(k) is None
+        assert cycle_inverse_checks(k) == (False, False)
+
+    @pytest.mark.parametrize("k, column", [(1, 0), (2, 3), (5, 10), (12, 7)])
+    def test_inverse_perturbed_off_circulant_caught_by_the_circulant_check(self, monkeypatch, k, column):
+        # rows 1 and 2 of one column of S moved by d_02 and -d_01 leave the
+        # first row of D S at k(k+1) e_0, so only the circulant check on S can
+        # reject
+        original = distdet.verify._cycle_inverse_formula
+        first = distance_matrix(cycle_graph(2 * k + 1))[0]
+
+        def perturbed(k):
+            s = original(k)
+            s[1][column] += first[2]
+            s[2][column] -= first[1]
+            return s
+
+        monkeypatch.setattr(distdet.verify, "_cycle_inverse_formula", perturbed)
+        monkeypatch.setattr(distdet.verify, "bareiss_detcof", lambda d: DetCof(k * (k + 1), 0))
+        assert mat_mul_naive([first], perturbed(k)) == [[k * (k + 1)] + [0] * (2 * k)]
+        assert _cycle_inverse_scaled(k) is None
+        assert cycle_inverse_checks(k) == (False, False)
+
+    @pytest.mark.parametrize("k, entry", [(1, (2, 0)), (3, (1, 1)), (5, (7, 10)), (12, (24, 0))])
+    def test_perturbed_cycle_matrix_outside_its_first_row(self, monkeypatch, k, entry):
+        # the first row of D S is still k(k+1) e_0, so only the circulant check on D can reject
+        monkeypatch.setattr(distdet.verify, "distance_matrix", lambda g: _perturb(distance_matrix(g), *entry))
+        monkeypatch.setattr(distdet.verify, "bareiss_detcof", lambda d: DetCof(k * (k + 1), 0))
+        assert entry[0] > 0
+        assert _cycle_inverse_scaled(k) is None
+        assert cycle_inverse_checks(k) == (False, False)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_cycle_matrix_with_an_extra_row_rejected(self, monkeypatch, k):
+        # D's first row repeated below it: every row is a rotation of the
+        # first and the first row of D S is right, but D is not square
+        monkeypatch.setattr(distdet.verify, "distance_matrix", lambda g: (lambda d: d + [d[0]])(distance_matrix(g)))
+        monkeypatch.setattr(distdet.verify, "bareiss_detcof", lambda d: DetCof(k * (k + 1), 0))
+        assert _cycle_inverse_scaled(k) is None
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_circulant_but_wrong_matrices_caught_by_the_first_row(self, monkeypatch, k):
+        # D + I and S + J stay circulant, so only the first row of D S can reject them
+        original = distdet.verify._cycle_inverse_formula
+        monkeypatch.setattr(distdet.verify, "bareiss_detcof", lambda d: DetCof(k * (k + 1), 0))
+        with monkeypatch.context() as patch:
+            patch.setattr(distdet.verify, "_cycle_inverse_formula", lambda k: [[x + 1 for x in row] for row in original(k)])
+            assert _cycle_inverse_scaled(k) is None
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                distdet.verify,
+                "distance_matrix",
+                lambda g: [[x + int(i == j) for j, x in enumerate(row)] for i, row in enumerate(distance_matrix(g))],
+            )
+            assert _cycle_inverse_scaled(k) is None
+
     @pytest.mark.parametrize("k, s, entry", [(2, 2, (0, 0)), (3, 2, (1, 3)), (4, 3, (5, 0)), (2, 4, (2, 1))])
     def test_perturbed_transfer_matrix(self, monkeypatch, k, s, entry):
         monkeypatch.setattr(distdet.verify, "_transfer_matrix", lambda k, s: _perturb(_transfer_matrix(k, s), *entry))
@@ -320,9 +400,10 @@ class TestProofChecksRejectBadInput:
 
 def test_identity_families_stay_fast():
     # every identity family over the ranges `verify` runs; the integer forms,
-    # each proved once from a closed-form matrix, take about 0.02 s on a
-    # shared 2-core x86-64 machine with CPython 3.11; rational Gauss-Jordan
-    # inverses took 1.2-1.5 s there, so the bound catches their return
+    # each proved once from a closed-form matrix, take about 0.015 s (fastest
+    # of 9) on a shared 2-core x86-64 machine with CPython 3.11; rational
+    # Gauss-Jordan inverses took 1.2-1.5 s there, so the bound catches their
+    # return
     start = time.perf_counter()
     assert all(cycle_inverse_checks(*args) == (True, True) for args in CLAIM_PARAMS["cycle_inverse_checks"])
     assert all(theta_congruence_checks(*args) == (True, True) for args in CLAIM_PARAMS["theta_congruence_checks"])
